@@ -159,16 +159,14 @@ def make_scenario(
     )
 
 
-def key_stream(
-    scenario: Scenario, stages: StageModel, device: str = "host"
-) -> list[list[CacheKey]]:
+def key_stream(scenario: Scenario, stages: StageModel) -> list[list[CacheKey]]:
     """Per-sample cache keys requested during one pass over the stream."""
     stream = []
     for side in scenario.external_sides():
         sample_keys = []
         for stride in stages.strides:
             shape = stages.internal_shape(side, stride)
-            key = CacheKey(shape.height, shape.width, device)
+            key = CacheKey(shape.height, shape.width)
             sample_keys.extend([key] * stages.requests_per_stage)
         stream.append(sample_keys)
     return stream
@@ -269,7 +267,6 @@ def _forward(
     seed: int,
     batch: int,
     channels: int,
-    device: str,
     stage_index_ns: list[int] | None = None,
 ) -> tuple[int, int]:
     """One forward pass; returns (index service ns, end-to-end ns)."""
@@ -277,7 +274,7 @@ def _forward(
     total_ns = 0
     for s_idx, stride in enumerate(stages.strides):
         shape = stages.internal_shape(side, stride)
-        key = CacheKey(shape.height, shape.width, device)
+        key = CacheKey(shape.height, shape.width)
         # Synthetic input preparation stays outside the timers.
         data = _stage_data(seed, sample_idx, s_idx, batch, channels, shape.length)
         feature_map = FeatureMap(data=data, shape=shape)
@@ -302,7 +299,6 @@ def _measured_pass(
     seed: int,
     batch: int,
     channels: int,
-    device: str,
 ) -> tuple[int, int, list[int]]:
     """Timed pass over the stream: (index ns total, end-to-end ns total, per-stage ns)."""
     stage_ns = [0] * len(stages.strides)
@@ -310,7 +306,7 @@ def _measured_pass(
     latency_total = 0
     for i, side in enumerate(sides):
         index_ns, total_ns = _forward(
-            cache, i, side, stages, params, seed, batch, channels, device, stage_ns
+            cache, i, side, stages, params, seed, batch, channels, stage_ns
         )
         index_total += index_ns
         latency_total += total_ns
@@ -324,9 +320,7 @@ def run_scenario(
     params: SsmParams | None = None,
     batch: int = 1,
     channels: int = 4,
-    device: str = "host",
     warmup: int = WARMUP_FORWARDS,
-    transfer_delay: float = 0.0,
 ) -> BenchReport:
     """Run the cold/warm measurement protocol for one scenario.
 
@@ -341,19 +335,19 @@ def run_scenario(
     sides = scenario.external_sides()
     seed = scenario.seed
 
-    stream = key_stream(scenario, stages, device)
+    stream = key_stream(scenario, stages)
     unique_keys = len({key for sample in stream for key in sample})
 
     # Timer warm-up against a scratch cache keeps the measured cold pass
     # genuinely cold.
-    scratch = ScanCache(capacity=cache_capacity, transfer_delay=transfer_delay)
+    scratch = ScanCache(capacity=cache_capacity)
     for w in range(warmup):
         i = w % len(sides)
-        _forward(scratch, i, sides[i], stages, params, seed, batch, channels, device)
+        _forward(scratch, i, sides[i], stages, params, seed, batch, channels)
 
-    cache = ScanCache(capacity=cache_capacity, transfer_delay=transfer_delay)
+    cache = ScanCache(capacity=cache_capacity)
     cold_index_ns, cold_latency_ns, cold_stage_ns = _measured_pass(
-        cache, sides, stages, params, seed, batch, channels, device
+        cache, sides, stages, params, seed, batch, channels
     )
     cold_stats = cache.snapshot_stats()
 
@@ -361,10 +355,10 @@ def run_scenario(
     # run against the primed cache before the warm measurement.
     for w in range(warmup):
         i = w % len(sides)
-        _forward(cache, i, sides[i], stages, params, seed, batch, channels, device)
+        _forward(cache, i, sides[i], stages, params, seed, batch, channels)
     before_warm = cache.snapshot_stats()
     warm_index_ns, warm_latency_ns, warm_stage_ns = _measured_pass(
-        cache, sides, stages, params, seed, batch, channels, device
+        cache, sides, stages, params, seed, batch, channels
     )
     warm_stats = cache.snapshot_stats()
     warm_requests = warm_stats.requests - before_warm.requests
@@ -496,7 +490,6 @@ def run_cache_stress(
         "hits": stats.hits,
         "misses": stats.misses,
         "evictions": stats.evictions,
-        "transfers": stats.transfers,
         "hit_rate": stats.hit_rate,
         "stats_conserved": bool(conserved),
         "violations": int(violations),

@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strides", type=_strides, default=(4, 8, 16, 32))
     run.add_argument("--requests-per-stage", type=_positive_int, default=1)
     run.add_argument("--capacity", type=_positive_int, default=64)
-    run.add_argument("--transfer-delay", type=float, default=0.0,
-                     help="synthetic placement-transfer cost in seconds")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--batch", type=_positive_int, default=1)
     run.add_argument("--channels", type=_positive_int, default=4)
@@ -151,7 +149,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         cache_capacity=args.capacity,
         batch=args.batch,
         channels=args.channels,
-        transfer_delay=args.transfer_delay,
     )
     _write_output(bench.emit_report(report, args.format), args.out)
     return 0

@@ -12,7 +12,8 @@ branch regardless of the measured dependence.
 
 from __future__ import annotations
 
-import threading
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ __all__ = [
 
 ZERO_ROW_EPS = 1e-12
 BANDWIDTH_FLOOR = 1e-12
+# Distinct (length, width, seed) projections kept resident, least recently
+# used evicted first.
+PROJECTION_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,8 @@ class GateConfig:
     def __post_init__(self) -> None:
         if self.d_proj < 1:
             raise ValueError(f"d_proj must be >= 1, got {self.d_proj}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if not 0.0 <= self.rho <= 1.0:
@@ -109,42 +115,25 @@ def effective_projection_width(d_proj: int, length: int) -> int:
     return max(8, min(d_proj, length))
 
 
-class _ProjectionCache:
-    """Deterministic get-or-build cache of projection matrices.
-
-    Same (length, width, seed) key always yields the bit-identical
-    matrix; linearizable under concurrent access like the scan cache.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._matrices: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def get(self, length: int, width: int, seed: int) -> np.ndarray:
-        key = (length, width, seed)
-        with self._lock:
-            cached = self._matrices.get(key)
-        if cached is not None:
-            return cached
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, length, width])
-        matrix = rng.standard_normal((length, width)) / np.sqrt(width)
-        matrix.setflags(write=False)
-        with self._lock:
-            return self._matrices.setdefault(key, matrix)
-
-
-_PROJECTIONS = _ProjectionCache()
+@functools.lru_cache(maxsize=PROJECTION_CAPACITY)
+def _build_projection(length: int, width: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, length, width])
+    matrix = rng.standard_normal((length, width)) / np.sqrt(width)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def projection_matrix(length: int, width: int, seed: int = 0) -> np.ndarray:
     """Cached (length, width) Gaussian projection with entries N(0,1)/sqrt(width).
 
     The 1/sqrt(width) scaling makes projected squared norms unbiased, so
-    pairwise distances are preserved in expectation.
+    pairwise distances are preserved in expectation. The same (length,
+    width, seed) always yields the bit-identical read-only matrix; the
+    PROJECTION_CAPACITY most recently used matrices stay resident.
     """
     if length < 1 or width < 1:
         raise ValueError("projection dimensions must be >= 1")
-    return _PROJECTIONS.get(length, width, seed)
+    return _build_projection(length, width, seed)
 
 
 def project_and_normalize(features: np.ndarray, projection: np.ndarray) -> np.ndarray:

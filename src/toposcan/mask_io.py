@@ -99,8 +99,10 @@ def _pbm_tokens(data: bytes):
 
 def _read_pbm(data: bytes) -> np.ndarray:
     tokens = _pbm_tokens(data)
-    magic, _ = next(tokens)
-    (w_tok, _), (h_tok, header_end) = next(tokens), next(tokens)
+    try:
+        (magic, _), (w_tok, _), (h_tok, header_end) = [next(tokens) for _ in range(3)]
+    except StopIteration:
+        raise ValueError("truncated PBM header") from None
     w, h = int(w_tok), int(h_tok)
     if w < 1 or h < 1:
         raise ValueError(f"invalid PBM dimensions {w}x{h}")
@@ -183,7 +185,9 @@ def read_manifest(path: str | Path) -> list[ManifestItem]:
         if not isinstance(item, dict) or "pred" not in item or "gt" not in item:
             raise ValueError(f"{path}: item {idx} must provide 'pred' and 'gt' paths")
         class_id = item.get("class_id")
-        if class_id is not None and not isinstance(class_id, int):
+        if class_id is not None and (
+            not isinstance(class_id, int) or isinstance(class_id, bool)
+        ):
             raise ValueError(f"{path}: item {idx} class_id must be an integer or null")
         parsed.append(
             ManifestItem(

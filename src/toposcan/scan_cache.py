@@ -1,11 +1,11 @@
 """LRU cache that amortizes scan-index construction across repeated shapes.
 
-Index pairs are keyed by (height, width, device tag). A hit returns the
-stored pair without rebuilding; a miss builds, registers, and evicts the
-least-recently-used entry once capacity is exceeded. Placement is an
-abstract string tag — "transferring" an entry to another placement deep
-copies the index data and can charge a configurable synthetic delay, so
-the control flow stays testable without real accelerators.
+Index pairs are keyed by (height, width, device tag), so each device tag
+keeps its own entries. A hit returns the stored pair without rebuilding;
+a miss builds outside the lock, registers the pair, and evicts the
+least-recently-used entry once capacity is exceeded. Misses are
+single-flight: a caller that requests a key while it is being built
+waits for that build, so concurrent misses build each key once.
 """
 
 from __future__ import annotations
@@ -13,27 +13,33 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from .scan_order import GridShape, IndexPair, build_topoa_indices
 
-__all__ = ["CacheKey", "CacheEntry", "CacheStats", "ScanCache"]
+__all__ = ["CacheKey", "CacheStats", "ScanCache"]
 
 DEFAULT_CAPACITY = 64
 
 
 @dataclass(frozen=True)
 class CacheKey:
-    """Lookup key: grid height, grid width, and a placement tag."""
+    """Lookup key: grid height, grid width, and a placement tag.
+
+    Height and width follow :class:`GridShape`'s rule (integers >= 1, not
+    bools), so a malformed key fails here, before any counter moves.
+    """
 
     height: int
     width: int
     device: str = "host"
 
     def __post_init__(self) -> None:
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"grid dimensions must be >= 1, got {self.height}x{self.width}")
+        shape = GridShape(self.height, self.width)
+        object.__setattr__(self, "height", shape.height)
+        object.__setattr__(self, "width", shape.width)
         if not self.device:
             raise ValueError("device tag must be a non-empty string")
 
@@ -43,29 +49,21 @@ class CacheKey:
 
 
 @dataclass
-class CacheEntry:
-    """Stored index pair plus its placement tag and recency counter."""
-
-    indices: IndexPair
-    placement: str
-    last_used: int
-
-
-@dataclass
 class CacheStats:
     """Counters for cache accounting.
 
-    ``requests == hits + misses`` holds at every snapshot, and
-    ``evictions <= misses``. ``build_time_total`` accumulates seconds
-    spent in miss-path requests (index construction included),
-    ``lookup_time_total`` the seconds spent in hit-path requests.
+    ``requests == hits + misses`` holds at every snapshot, ``misses``
+    equals the number of builds, and ``evictions <= misses``. A request
+    that waits on another caller's in-flight build counts as a hit.
+    ``build_time_total`` accumulates seconds spent in miss-path requests
+    (index construction included), ``lookup_time_total`` the seconds
+    spent in hit-path requests.
     """
 
     requests: int = 0
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    transfers: int = 0
     build_time_total: float = 0.0
     lookup_time_total: float = 0.0
 
@@ -79,36 +77,30 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "transfers": self.transfers,
             "hit_rate": self.hit_rate,
         }
 
 
 class ScanCache:
-    """Thread-safe LRU cache of scan index pairs.
+    """Thread-safe, single-flight LRU cache of scan index pairs.
 
-    Recency is a monotone per-access counter, not wall time, so eviction
-    order is deterministic. Concurrent misses on the same key may race to
-    build (construction happens outside the lock), but only one entry is
-    retained and every caller receives value-identical indices.
+    Entry order is recency order: a hit moves its key to the end and
+    eviction pops the front, so eviction is deterministic for a given
+    request sequence.
     """
 
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
         builder: Callable[[GridShape], IndexPair] = build_topoa_indices,
-        transfer_delay: float = 0.0,
     ):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        if transfer_delay < 0:
-            raise ValueError("transfer_delay must be >= 0")
         self._capacity = capacity
         self._builder = builder
-        self._transfer_delay = transfer_delay
-        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, IndexPair]" = OrderedDict()
+        self._in_flight: dict[CacheKey, Future] = {}
         self._lock = threading.Lock()
-        self._tick = 0
         self._stats = CacheStats()
 
     @property
@@ -130,77 +122,49 @@ class ScanCache:
     def get_or_build(self, key: CacheKey) -> IndexPair:
         """Return the index pair for ``key``, building it on a miss.
 
-        A request counts as a hit whenever the key is present, even if
-        the stored placement then has to be transferred to the key's
-        device. On a miss the pair is built, registered, and the
-        least-recently-used entry is evicted if size exceeds capacity.
+        The first caller to miss a key builds it; callers arriving while
+        that build runs wait for it and count as hits. If the build
+        raises, every waiter gets the same exception and nothing is
+        retained, so the next request builds again.
         """
         start = time.perf_counter()
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._stats.requests += 1
-                self._stats.hits += 1
-                if entry.placement != key.device:
-                    entry = self._transfer_locked(entry, key.device)
-                    self._entries[key] = entry
-                self._touch(key, entry)
-                self._stats.lookup_time_total += time.perf_counter() - start
-                return entry.indices
             self._stats.requests += 1
-            self._stats.misses += 1
-        # Build outside the lock; a racing builder for the same key may
-        # finish first, in which case its entry wins.
-        built = self._builder(key.shape)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = CacheEntry(indices=built, placement=key.device, last_used=0)
-                self._entries[key] = entry
-                self._touch(key, entry)
-                if len(self._entries) > self._capacity:
-                    self._evict_lru()
+            indices = self._entries.get(key)
+            if indices is not None:
+                self._stats.hits += 1
+                self._entries.move_to_end(key)
+                self._stats.lookup_time_total += time.perf_counter() - start
+                return indices
+            pending = self._in_flight.get(key)
+            if pending is None:
+                self._stats.misses += 1
+                self._in_flight[key] = building = Future()
             else:
-                self._touch(key, entry)
-            self._stats.build_time_total += time.perf_counter() - start
-            return entry.indices
-
-    def transfer(self, entry: CacheEntry, target: str) -> CacheEntry:
-        """Re-place an entry onto ``target``.
-
-        Identity transfers return the entry unchanged and record
-        nothing. A real transfer deep copies the index arrays, charges
-        the configured synthetic delay, and bumps the transfer counter.
-        """
+                self._stats.hits += 1
+        if pending is not None:
+            indices = pending.result()
+            with self._lock:
+                self._stats.lookup_time_total += time.perf_counter() - start
+            return indices
+        try:
+            indices = self._builder(key.shape)
+        except BaseException as exc:
+            with self._lock:
+                del self._in_flight[key]
+            building.set_exception(exc)
+            raise
         with self._lock:
-            return self._transfer_locked(entry, target)
+            del self._in_flight[key]
+            self._entries[key] = indices
+            if len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+                self._stats.evictions += 1
+            self._stats.build_time_total += time.perf_counter() - start
+        building.set_result(indices)
+        return indices
 
     def snapshot_stats(self) -> CacheStats:
         """Consistent point-in-time copy of the counters."""
         with self._lock:
             return replace(self._stats)
-
-    def _touch(self, key: CacheKey, entry: CacheEntry) -> None:
-        self._tick += 1
-        entry.last_used = self._tick
-        self._entries.move_to_end(key)
-
-    def _evict_lru(self) -> None:
-        # Every access re-appends its key, so the front entry is the one
-        # with the minimal last_used counter.
-        self._entries.popitem(last=False)
-        self._stats.evictions += 1
-
-    def _transfer_locked(self, entry: CacheEntry, target: str) -> CacheEntry:
-        if not target:
-            raise ValueError("device tag must be a non-empty string")
-        if entry.placement == target:
-            return entry
-        self._stats.transfers += 1
-        if self._transfer_delay > 0.0:
-            time.sleep(self._transfer_delay)
-        return CacheEntry(
-            indices=entry.indices.copy(),
-            placement=target,
-            last_used=entry.last_used,
-        )

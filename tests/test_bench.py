@@ -155,6 +155,13 @@ class TestCacheStress:
         assert summary["stats_conserved"] is True
         assert summary["requests"] == 4 * 60
 
+    def test_concurrent_misses_build_each_key_once(self):
+        summary = run_cache_stress(threads=8, keys=32, capacity=64)
+        assert summary["misses"] == 32
+        assert summary["evictions"] == 0
+        assert summary["violations"] == 0
+        assert summary["stats_conserved"] is True
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             run_cache_stress(threads=0)

@@ -132,6 +132,15 @@ class TestTopoReport:
         payload = json.loads(err)
         assert payload["error"] in {"FileNotFoundError", "ValueError"}
 
+    def test_truncated_pbm_header_reports_error(self, capsys, tmp_path):
+        (tmp_path / "short.pbm").write_bytes(b"P4\n8")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"items": [{"pred": "short.pbm", "gt": "short.pbm"}]}))
+        code, out, err = run_cli(capsys, "topo", "report", "--manifest", str(manifest))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": "truncated PBM header"}
+
 
 class TestCacheStress:
     def test_stress_summary(self, capsys):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toposcan.hsic_gate import (
+    PROJECTION_CAPACITY,
     BranchPair,
     GateConfig,
+    _build_projection,
     effective_projection_width,
     fuse,
     fuse_with_diagnostics,
@@ -68,6 +70,11 @@ class TestProjection:
         assert a is b
         c = projection_matrix(128, 32, seed=10)
         assert not np.array_equal(a, c)
+
+    def test_cache_stays_at_its_bound(self):
+        for length in range(1, PROJECTION_CAPACITY + 20):
+            projection_matrix(length, 8, seed=77)
+        assert _build_projection.cache_info().currsize == PROJECTION_CAPACITY
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -271,3 +278,8 @@ class TestGateConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             GateConfig(**kwargs)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError):
+            GateConfig(alpha=alpha)

@@ -78,6 +78,13 @@ class TestErrors:
         with pytest.raises(ValueError):
             read_mask(path)
 
+    @pytest.mark.parametrize("header", [b"P4\n8", b"P4", b"P1\n3\n"])
+    def test_truncated_pbm_header(self, tmp_path, header):
+        path = tmp_path / "header.pbm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="truncated PBM header"):
+            read_mask(path)
+
     def test_write_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_mask_raw(tmp_path / "bad.tmsk", np.zeros((2, 2, 2)))
@@ -129,5 +136,14 @@ class TestManifest:
     def test_rejects_missing_fields(self, tmp_path):
         manifest = tmp_path / "fields.json"
         manifest.write_text(json.dumps({"items": [{"pred": "x"}]}))
+        with pytest.raises(ValueError):
+            read_manifest(manifest)
+
+    @pytest.mark.parametrize("class_id", [True, False])
+    def test_rejects_boolean_class_id(self, tmp_path, class_id):
+        manifest = tmp_path / "bool.json"
+        manifest.write_text(
+            json.dumps({"items": [{"pred": "p", "gt": "g", "class_id": class_id}]})
+        )
         with pytest.raises(ValueError):
             read_manifest(manifest)

@@ -1,6 +1,7 @@
-"""Cache behavior: hits, LRU eviction, transfers, stats, and concurrency."""
+"""Cache behavior: hits, LRU eviction, key validation, stats, and concurrency."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -59,7 +60,6 @@ class TestBasics:
             "hits": 0,
             "misses": 0,
             "evictions": 0,
-            "transfers": 0,
             "hit_rate": 0.0,
         }
 
@@ -73,48 +73,27 @@ class TestBasics:
             cache.get_or_build(key(h, 1))
             assert len(cache) <= 3
 
+    def test_devices_keep_separate_entries(self):
+        cache = ScanCache(capacity=4)
+        host = cache.get_or_build(key(3, 3))
+        accel = cache.get_or_build(key(3, 3, "accel:0"))
+        assert host is not accel
+        assert np.array_equal(host.forward, accel.forward)
+        assert cache.snapshot_stats().misses == 2
 
-class TestTransfers:
-    def test_identity_transfer_is_free(self):
-        cache = ScanCache(capacity=2)
-        cache.get_or_build(key(3, 3))
-        entry = cache._entries[key(3, 3)]
-        same = cache.transfer(entry, "host")
-        assert same is entry
-        assert cache.snapshot_stats().transfers == 0
 
-    def test_transfer_copies_values(self):
-        cache = ScanCache(capacity=2)
-        cache.get_or_build(key(3, 3))
-        entry = cache._entries[key(3, 3)]
-        moved = cache.transfer(entry, "accel:0")
-        assert moved.placement == "accel:0"
-        assert moved.indices is not entry.indices
-        assert np.array_equal(moved.indices.forward, entry.indices.forward)
-        assert np.array_equal(moved.indices.inverse, entry.indices.inverse)
-        assert cache.snapshot_stats().transfers == 1
+class TestKeyValidation:
+    @pytest.mark.parametrize(
+        "h, w", [(2.5, 3), (3, 2.5), (True, 3), (3, False), ("3", 3), (0, 3), (3, -1)]
+    )
+    def test_malformed_dimensions_rejected(self, h, w):
+        with pytest.raises(ValueError):
+            CacheKey(h, w)
 
-    def test_round_trip_transfers_preserve_values(self):
-        cache = ScanCache(capacity=2)
-        cache.get_or_build(key(4, 5))
-        entry = cache._entries[key(4, 5)]
-        original = entry.indices
-        bounced = cache.transfer(cache.transfer(entry, "accel:0"), "host")
-        assert np.array_equal(bounced.indices.forward, original.forward)
-        assert np.array_equal(bounced.indices.inverse, original.inverse)
-        assert cache.snapshot_stats().transfers == 2
-
-    def test_hit_with_stale_placement_transfers_and_counts_as_hit(self):
-        cache = ScanCache(capacity=2)
-        k = key(3, 4, "accel:0")
-        cache.get_or_build(k)
-        # Simulate an entry whose buffer migrated elsewhere.
-        cache._entries[k].placement = "host"
-        pair = cache.get_or_build(k)
-        stats = cache.snapshot_stats()
-        assert stats.hits == 1 and stats.transfers == 1
-        assert cache._entries[k].placement == "accel:0"
-        assert np.array_equal(pair.forward, build_topoa_indices(GridShape(3, 4)).forward)
+    def test_numpy_integers_normalize_to_the_int_key(self):
+        k = CacheKey(np.int64(4), np.int32(5))
+        assert type(k.height) is int and type(k.width) is int
+        assert k == CacheKey(4, 5)
 
 
 class TestLruDiscipline:
@@ -183,7 +162,13 @@ class TestLruDiscipline:
 
 class TestConcurrency:
     def test_racing_misses_on_one_key_retain_single_entry(self):
-        cache = ScanCache(capacity=4)
+        built = []
+
+        def counting_builder(shape):
+            built.append(shape)
+            return build_topoa_indices(shape)
+
+        cache = ScanCache(capacity=4, builder=counting_builder)
         k = key(24, 24)
         barrier = threading.Barrier(8)
         results = []
@@ -205,7 +190,53 @@ class TestConcurrency:
         stats = cache.snapshot_stats()
         assert stats.requests == 8
         assert stats.requests == stats.hits + stats.misses
-        assert stats.misses >= 1
+        assert stats.misses == 1
+        assert built == [GridShape(24, 24)]
+
+    def test_failed_build_reaches_every_waiter_and_leaves_nothing(self):
+        threads_n = 8
+        calls = []
+        fail = True
+
+        def builder(shape):
+            calls.append(shape)
+            if fail:
+                # Hold the build until every racer has joined it.
+                deadline = time.monotonic() + 10.0
+                while cache.snapshot_stats().requests < threads_n:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                raise RuntimeError("build failed")
+            return build_topoa_indices(shape)
+
+        cache = ScanCache(capacity=4, builder=builder)
+        k = key(5, 7)
+        barrier = threading.Barrier(threads_n)
+        errors = []
+
+        def worker():
+            barrier.wait()
+            try:
+                cache.get_or_build(k)
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == ["build failed"] * threads_n
+        assert len(calls) == 1
+        assert len(cache) == 0
+        stats = cache.snapshot_stats()
+        assert (stats.requests, stats.hits, stats.misses) == (threads_n, threads_n - 1, 1)
+
+        fail = False
+        pair = cache.get_or_build(k)
+        assert np.array_equal(pair.forward, build_topoa_indices(GridShape(5, 7)).forward)
+        assert len(calls) == 2 and len(cache) == 1
+        assert cache.snapshot_stats().misses == 2
 
     def test_parallel_requests_once_key_set(self):
         cache = ScanCache(capacity=16)

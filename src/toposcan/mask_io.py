@@ -103,6 +103,10 @@ def _read_pbm(data: bytes) -> np.ndarray:
         (magic, _), (w_tok, _), (h_tok, header_end) = [next(tokens) for _ in range(3)]
     except StopIteration:
         raise ValueError("truncated PBM header") from None
+    if magic not in (b"P1", b"P4"):
+        raise ValueError(f"unknown PBM magic {magic!r}")
+    if not (w_tok.isdigit() and h_tok.isdigit()):
+        raise ValueError(f"PBM dimensions must be decimal digits, got {w_tok!r} {h_tok!r}")
     w, h = int(w_tok), int(h_tok)
     if w < 1 or h < 1:
         raise ValueError(f"invalid PBM dimensions {w}x{h}")
@@ -169,13 +173,16 @@ def read_manifest(path: str | Path) -> list[ManifestItem]:
     class_id optional (null or absent means nonzero-is-foreground).
 
     Raises:
-        ValueError: for structural problems or an empty item list.
+        ValueError: for structural problems, non-string paths, nesting too
+            deep to parse, or an empty item list.
     """
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: manifest is not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise ValueError(f"{path}: manifest is nested too deeply") from None
     items = payload.get("items") if isinstance(payload, dict) else None
     if not isinstance(items, list) or not items:
         raise ValueError(f"{path}: manifest must contain a non-empty 'items' list")
@@ -184,6 +191,8 @@ def read_manifest(path: str | Path) -> list[ManifestItem]:
     for idx, item in enumerate(items):
         if not isinstance(item, dict) or "pred" not in item or "gt" not in item:
             raise ValueError(f"{path}: item {idx} must provide 'pred' and 'gt' paths")
+        if not (isinstance(item["pred"], str) and isinstance(item["gt"], str)):
+            raise ValueError(f"{path}: item {idx} 'pred' and 'gt' must be strings")
         class_id = item.get("class_id")
         if class_id is not None and (
             not isinstance(class_id, int) or isinstance(class_id, bool)
@@ -191,8 +200,8 @@ def read_manifest(path: str | Path) -> list[ManifestItem]:
             raise ValueError(f"{path}: item {idx} class_id must be an integer or null")
         parsed.append(
             ManifestItem(
-                pred=base / str(item["pred"]),
-                gt=base / str(item["gt"]),
+                pred=base / item["pred"],
+                gt=base / item["gt"],
                 class_id=class_id,
             )
         )

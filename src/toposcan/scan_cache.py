@@ -78,6 +78,8 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
+            "build_time_total": self.build_time_total,
+            "lookup_time_total": self.lookup_time_total,
         }
 
 

@@ -9,18 +9,34 @@ with zero-order-hold discretization a_bar = exp(delta * a) and
 b_bar = (exp(delta * a) - 1) / a * b. ``multi_direction_scan`` runs it
 along all four rows of an index pair: gather by the forward row, scan,
 scatter back by the inverse row, and sum the four restored maps.
+
+The scan is evaluated in chunks of ``CHUNK`` steps, the block
+decomposition of Mamba-2's state-space duality (Dao & Gu, 2024) applied
+to the diagonal system of S4 (Gu et al., 2022). Within a chunk, one
+matrix product applies the lower-triangular kernel
+K[t, s] = sum_n c a_bar^(t-s) b_bar (with d on the diagonal) and yields
+each chunk's end states. A first-order filter with decay a_bar^CHUNK
+carries the states across chunk ends, and a second product adds their
+effect to the following chunk. The modal (per-state) form is kept: one
+order-N direct-form filter with denominator poly(a_bar) loses accuracy
+as N grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .scan_order import CrossIndexPair, GridShape, IndexPair
 
+CHUNK = 64
+"""Steps per chunk of the chunked scan."""
+
 __all__ = [
+    "CHUNK",
     "SsmParams",
     "FeatureMap",
     "default_params",
@@ -66,6 +82,32 @@ class SsmParams:
     @property
     def state_dim(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def _chunk_operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (step, decay, carry) operators of the chunked scan.
+
+        ``step`` is (CHUNK, CHUNK + N). Its first CHUNK columns hold the
+        transposed in-chunk kernel, step[s, t] = sum_n c a_bar^(t-s) b_bar
+        for t >= s plus d on the diagonal; its last N columns hold
+        a_bar^(CHUNK-1-s) b_bar, which give a chunk's end states.
+        ``decay`` is a_bar^CHUNK, and ``carry`` is (N, CHUNK) with entries
+        c a_bar^(t+1): the response inside a chunk to the incoming state.
+        """
+        a_bar, b_bar = discretize(self)
+        powers = a_bar ** np.arange(CHUNK + 1)[:, None]  # (CHUNK + 1, N)
+        impulse = powers[:CHUNK] @ (self.c * b_bar)
+        t = np.arange(CHUNK)
+        lag = t[None, :] - t[:, None]
+        step = np.empty((CHUNK, CHUNK + self.state_dim))
+        step[:, :CHUNK] = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+        step[t, t] += self.d
+        step[:, CHUNK:] = powers[CHUNK - 1 - t] * b_bar
+        decay = powers[CHUNK]
+        carry = (powers[1:] * self.c).T
+        for arr in (step, decay, carry):
+            arr.setflags(write=False)
+        return step, decay, carry
 
 
 def default_params() -> SsmParams:
@@ -152,17 +194,31 @@ def discretize(params: SsmParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan_last_axis(data: np.ndarray, params: SsmParams) -> np.ndarray:
-    """Run the recurrence along the last axis of ``data``.
+    """Run the recurrence along the last axis of ``data``, CHUNK steps at a time.
 
-    Each state contributes a first-order IIR response; lfilter's direct
-    form computes exactly h[k] = b_bar*x[k] + a_bar*h[k-1].
+    Each sequence is one 3-D product over (rows, chunks, CHUNK), so a
+    sequence's result does not depend on how many others share the call.
     """
-    a_bar, b_bar = discretize(params)
-    out = params.d * data
-    for n in range(params.state_dim):
-        h_n = lfilter([b_bar[n]], [1.0, -a_bar[n]], data, axis=-1)
-        out = out + params.c[n] * h_n
-    return out
+    *lead, length = data.shape
+    if data.size == 0:
+        return np.zeros(data.shape)
+    step, decay, carry = params._chunk_operators
+    chunks = -(-length // CHUNK)
+    if chunks * CHUNK != length:
+        padded = np.zeros((*lead, chunks * CHUNK))
+        padded[..., :length] = data
+        data = padded
+    out = data.reshape(-1, chunks, CHUNK) @ step  # (rows, chunks, CHUNK + N)
+    y = np.empty((out.shape[0], chunks, CHUNK))
+    y[:, 0] = out[:, 0, :CHUNK]
+    if chunks > 1:
+        ends = out[:, :-1, CHUNK:]
+        carried = np.empty(ends.shape)
+        for n in range(params.state_dim):
+            carried[..., n] = lfilter([1.0], [1.0, -decay[n]], ends[..., n], axis=-1)
+        np.matmul(carried, carry, out=y[:, 1:])
+        y[:, 1:] += out[:, 1:, :CHUNK]
+    return y.reshape(*lead, chunks * CHUNK)[..., :length]
 
 
 def scan_sequence(x: np.ndarray, params: SsmParams) -> np.ndarray:

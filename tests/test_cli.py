@@ -141,6 +141,26 @@ class TestTopoReport:
         assert out == ""
         assert json.loads(err) == {"error": "ValueError", "message": "truncated PBM header"}
 
+    def test_non_string_path_reports_error(self, capsys, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"items": [{"pred": None, "gt": "gt.pbm"}]}))
+        code, out, err = run_cli(capsys, "topo", "report", "--manifest", str(manifest))
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "must be strings" in payload["message"]
+
+    def test_deeply_nested_manifest_reports_error(self, capsys, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"items":[' * 100_000)
+        code, out, err = run_cli(capsys, "topo", "report", "--manifest", str(manifest))
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "nested too deeply" in payload["message"]
+
 
 class TestCacheStress:
     def test_stress_summary(self, capsys):

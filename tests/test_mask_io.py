@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toposcan.mask_io import (
     RAW_MAGIC,
@@ -85,6 +87,21 @@ class TestErrors:
         with pytest.raises(ValueError, match="truncated PBM header"):
             read_mask(path)
 
+    @pytest.mark.parametrize(
+        "data", [b"P4\n1_0 1\n\x00\x00", b"P1\n+3 1\n1 1 1\n", b"P1\n3 \xd9\xa1\n1 1 1\n"]
+    )
+    def test_pbm_dimensions_must_be_decimal_digits(self, tmp_path, data):
+        path = tmp_path / "dims.pbm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="decimal digits"):
+            read_mask(path)
+
+    def test_pbm_magic_must_be_a_whole_token(self, tmp_path):
+        path = tmp_path / "magic.pbm"
+        path.write_bytes(b"P1x\n1 1\n\x80")
+        with pytest.raises(ValueError, match="unknown PBM magic"):
+            read_mask(path)
+
     def test_write_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_mask_raw(tmp_path / "bad.tmsk", np.zeros((2, 2, 2)))
@@ -147,3 +164,56 @@ class TestManifest:
         )
         with pytest.raises(ValueError):
             read_manifest(manifest)
+
+    @pytest.mark.parametrize("fields", [{"pred": None}, {"gt": 2}, {"pred": ["a"]}])
+    def test_rejects_non_string_paths(self, tmp_path, fields):
+        manifest = tmp_path / "paths.json"
+        manifest.write_text(json.dumps({"items": [{"pred": "p", "gt": "g", **fields}]}))
+        with pytest.raises(ValueError, match="must be strings"):
+            read_manifest(manifest)
+
+    def test_rejects_deep_nesting(self, tmp_path):
+        manifest = tmp_path / "deep.json"
+        manifest.write_text('{"items":[' * 100_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            read_manifest(manifest)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+manifest_items = st.dictionaries(
+    st.sampled_from(["pred", "gt", "class_id"]) | st.text(), json_values, max_size=4
+)
+manifests = json_values | st.fixed_dictionaries({"items": st.lists(manifest_items, max_size=3)})
+fuzz_settings = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestReaderFuzz:
+    """Only ValueError escapes the readers, whatever the file holds."""
+
+    @given(st.sampled_from([b"P1", b"P4", RAW_MAGIC]), st.binary(max_size=64))
+    @fuzz_settings
+    def test_read_mask_raises_only_value_error(self, tmp_path, prefix, body):
+        path = tmp_path / "fuzz.mask"
+        path.write_bytes(prefix + body)
+        try:
+            mask = read_mask(path)
+        except ValueError:
+            return
+        assert mask.dtype == np.uint8 and mask.ndim == 2 and mask.size > 0
+
+    @given(manifests)
+    @fuzz_settings
+    def test_read_manifest_raises_only_value_error(self, tmp_path, payload):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(payload))
+        try:
+            items = read_manifest(path)
+        except ValueError:
+            return
+        assert items and all(isinstance(item.class_id, (int, type(None))) for item in items)

@@ -61,6 +61,8 @@ class TestBasics:
             "misses": 0,
             "evictions": 0,
             "hit_rate": 0.0,
+            "build_time_total": 0.0,
+            "lookup_time_total": 0.0,
         }
 
     def test_capacity_zero_rejected(self):

@@ -7,6 +7,7 @@ import pytest
 
 from toposcan.scan_order import GridShape, build_cross_indices, build_topoa_indices
 from toposcan.ssm import (
+    CHUNK,
     FeatureMap,
     SsmParams,
     default_params,
@@ -28,6 +29,27 @@ def unrolled_kernel_oracle(x, params):
             acc += float(params.c @ (a_bar ** (t - s) * b_bar)) * x[s]
         y[t] = acc + params.d * x[t]
     return y
+
+
+def step_recurrence(x, params):
+    """h[k] = a_bar h[k-1] + b_bar x[k], y[k] = c . h[k] + d x[k], one step at a time."""
+    a_bar, b_bar = discretize(params)
+    h = np.zeros(params.state_dim)
+    y = np.empty(len(x))
+    for k, value in enumerate(x):
+        h = a_bar * h + b_bar * value
+        y[k] = params.c @ h + params.d * value
+    return y
+
+
+def random_params(rng, n):
+    return SsmParams(
+        a=-rng.uniform(0.1, 3.0, n),
+        b=rng.standard_normal(n),
+        c=rng.standard_normal(n),
+        d=float(rng.standard_normal()),
+        delta=float(rng.uniform(0.01, 0.5)),
+    )
 
 
 class TestDiscretize:
@@ -110,6 +132,10 @@ class TestScanSequence:
             scan_sequence(2.0 * x, params), 2.0 * scan_sequence(x, params), rtol=1e-13
         )
 
+    def test_empty_sequence_gives_empty_output(self):
+        y = scan_sequence(np.zeros(0), default_params())
+        assert y.shape == (0,)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             scan_sequence(np.array([1.0, np.nan]), default_params())
@@ -117,6 +143,44 @@ class TestScanSequence:
     def test_rejects_non_1d(self):
         with pytest.raises(ValueError):
             scan_sequence(np.zeros((2, 3)), default_params())
+
+
+class TestChunkBoundaries:
+    """Lengths that end inside, on and just past chunk boundaries."""
+
+    @pytest.mark.parametrize(
+        "length", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]
+    )
+    def test_matches_unrolled_kernel_for_every_state_count(self, length):
+        rng = np.random.default_rng(length)
+        for n in range(1, 9):
+            params = random_params(rng, n)
+            x = rng.standard_normal(length)
+            y = scan_sequence(x, params)
+            oracle = unrolled_kernel_oracle(x, params)
+            np.testing.assert_allclose(y, oracle, rtol=1e-10, atol=1e-12)
+
+    def test_long_sequence_matches_unrolled_kernel(self):
+        rng = np.random.default_rng(1000)
+        params = random_params(rng, 8)
+        x = rng.standard_normal(1000)
+        y = scan_sequence(x, params)
+        np.testing.assert_allclose(y, unrolled_kernel_oracle(x, params), rtol=1e-10, atol=1e-12)
+
+    def test_slow_pole_matches_step_recurrence(self):
+        # a_bar = exp(-5e-4): the state decays by only ~3% per chunk, so
+        # the carry across 64 chunk ends decides the result.
+        params = SsmParams(a=[-0.05], b=[1.0], c=[1.0], d=0.0, delta=0.01)
+        x = np.random.default_rng(17).standard_normal(4096)
+        y = scan_sequence(x, params)
+        np.testing.assert_allclose(y, step_recurrence(x, params), rtol=1e-10, atol=1e-12)
+
+    def test_chunk_operators_are_cached_and_read_only(self):
+        params = default_params()
+        operators = params._chunk_operators
+        assert params._chunk_operators is operators
+        for arr in operators:
+            assert not arr.flags.writeable
 
 
 class TestMultiDirectionScan:
@@ -167,6 +231,31 @@ class TestMultiDirectionScan:
                     restored = scan_sequence(gathered, params)[indices.inverse[k]]
                     acc = restored if acc is None else acc + restored
                 assert np.array_equal(out.data[b, c], acc)
+
+    def test_batched_matches_independent_sequences_on_padded_chunks(self):
+        # 9 x 15 = 135 steps: two full chunks and a zero-padded third.
+        rng = np.random.default_rng(23)
+        shape = GridShape(9, 15)
+        params = default_params()
+        fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
+        indices = build_topoa_indices(shape)
+        out = multi_direction_scan(fm, indices, params)
+        for b in range(fm.batch):
+            for c in range(fm.channels):
+                acc = None
+                for k in range(4):
+                    gathered = fm.data[b, c, indices.forward[k]]
+                    restored = scan_sequence(gathered, params)[indices.inverse[k]]
+                    acc = restored if acc is None else acc + restored
+                assert np.array_equal(out.data[b, c], acc)
+
+    def test_passthrough_is_bit_exact_on_padded_chunks(self):
+        rng = np.random.default_rng(29)
+        shape = GridShape(9, 15)
+        fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
+        for indices in (build_topoa_indices(shape), build_cross_indices(shape)):
+            out = multi_direction_scan(fm, indices, passthrough_params())
+            assert np.array_equal(out.data, 4.0 * fm.data)
 
 
 class TestFeatureMap:

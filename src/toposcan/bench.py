@@ -19,13 +19,13 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .scan_cache import CacheKey, ScanCache
-from .scan_order import GridShape, build_topoa_indices
+from .scan_order import GridShape, IndexPair, build_topoa_indices
 from .ssm import FeatureMap, SsmParams, default_params, multi_direction_scan
 
 __all__ = [
@@ -49,17 +49,6 @@ _DEFAULT_SIZES = {
     "multi_scale": (256, 320, 384, 448, 512),
 }
 
-_ALIASES = {
-    "fixed": "fixed",
-    "two-scale": "two_scale",
-    "two_scale": "two_scale",
-    "multi-scale": "multi_scale",
-    "multi_scale": "multi_scale",
-    "unique": "unique_per_sample",
-    "unique-per-sample": "unique_per_sample",
-    "unique_per_sample": "unique_per_sample",
-}
-
 # Report fields that depend on wall-clock measurement; everything else is
 # reproducible bit-for-bit given the same seed and configuration.
 TIMING_FIELDS = (
@@ -73,6 +62,10 @@ TIMING_FIELDS = (
 )
 
 WARMUP_FORWARDS = 8
+
+# Each stress thread is an OS thread; the cap keeps a mistyped count from
+# asking the OS for thousands of them.
+MAX_STRESS_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -147,12 +140,12 @@ def make_scenario(
     sizes: Sequence[int] | None = None,
     seed: int = 0,
 ) -> Scenario:
-    """Build a scenario from a CLI-style name (dashes accepted)."""
-    canonical = _ALIASES.get(name.strip().lower())
-    if canonical is None:
-        raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(set(_ALIASES))}")
+    """Build a scenario from a CLI-style name: any case, dashes for
+    underscores, and ``unique`` for ``unique_per_sample``.
+    """
+    canonical = name.strip().lower().replace("-", "_")
     return Scenario(
-        name=canonical,
+        name="unique_per_sample" if canonical == "unique" else canonical,
         sample_count=sample_count,
         sizes=None if sizes is None else tuple(sizes),
         seed=seed,
@@ -218,28 +211,7 @@ class BenchReport:
     per_stage: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "samples": self.samples,
-            "strides": list(self.strides),
-            "requests_per_stage": self.requests_per_stage,
-            "capacity": self.capacity,
-            "seed": self.seed,
-            "batch": self.batch,
-            "channels": self.channels,
-            "total_requests": self.total_requests,
-            "unique_keys": self.unique_keys,
-            "hit_rate_pct": self.hit_rate_pct,
-            "warm_hit_rate_pct": self.warm_hit_rate_pct,
-            "cold_ms": self.cold_ms,
-            "warm_ms": self.warm_ms,
-            "reduction_pct": self.reduction_pct,
-            "fps": self.fps,
-            "cold_index_ms_total": self.cold_index_ms_total,
-            "warm_index_ms_total": self.warm_index_ms_total,
-            "index_reduction_pct": self.index_reduction_pct,
-            "per_stage": self.per_stage,
-        }
+        return {**asdict(self), "strides": list(self.strides)}
 
     def stable_dict(self) -> dict:
         """The report minus every wall-clock-dependent field."""
@@ -251,66 +223,42 @@ class BenchReport:
         return out
 
 
-def _stage_data(
-    seed: int, sample: int, stage: int, batch: int, channels: int, length: int
-) -> np.ndarray:
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, sample, stage])
-    return rng.standard_normal((batch, channels, length))
-
-
-def _forward(
+def _run_pass(
     cache: ScanCache,
-    sample_idx: int,
-    side: int,
-    stages: StageModel,
-    params: SsmParams,
-    seed: int,
-    batch: int,
-    channels: int,
-    stage_index_ns: list[int] | None = None,
-) -> tuple[int, int]:
-    """One forward pass; returns (index service ns, end-to-end ns)."""
-    index_ns = 0
-    total_ns = 0
-    for s_idx, stride in enumerate(stages.strides):
-        shape = stages.internal_shape(side, stride)
-        key = CacheKey(shape.height, shape.width)
-        # Synthetic input preparation stays outside the timers.
-        data = _stage_data(seed, sample_idx, s_idx, batch, channels, shape.length)
-        feature_map = FeatureMap(data=data, shape=shape)
-        t0 = time.perf_counter_ns()
-        for _ in range(stages.requests_per_stage):
-            pair = cache.get_or_build(key)
-        t1 = time.perf_counter_ns()
-        multi_direction_scan(feature_map, pair, params)
-        t2 = time.perf_counter_ns()
-        index_ns += t1 - t0
-        total_ns += t2 - t0
-        if stage_index_ns is not None:
-            stage_index_ns[s_idx] += t1 - t0
-    return index_ns, total_ns
-
-
-def _measured_pass(
-    cache: ScanCache,
-    sides: list[int],
+    stream: list[list[CacheKey]],
+    samples: Sequence[int],
     stages: StageModel,
     params: SsmParams,
     seed: int,
     batch: int,
     channels: int,
 ) -> tuple[int, int, list[int]]:
-    """Timed pass over the stream: (index ns total, end-to-end ns total, per-stage ns)."""
+    """Forward the listed samples of ``stream`` through ``cache``.
+
+    Stage s of a sample requests that sample's keys [s*r, (s+1)*r), where
+    r is ``stages.requests_per_stage``. Returns (index-service ns,
+    end-to-end ns, per-stage index-service ns).
+    """
+    r = stages.requests_per_stage
     stage_ns = [0] * len(stages.strides)
-    index_total = 0
-    latency_total = 0
-    for i, side in enumerate(sides):
-        index_ns, total_ns = _forward(
-            cache, i, side, stages, params, seed, batch, channels, stage_ns
-        )
-        index_total += index_ns
-        latency_total += total_ns
-    return index_total, latency_total, stage_ns
+    total_ns = 0
+    for i in samples:
+        for s_idx in range(len(stages.strides)):
+            keys = stream[i][s_idx * r : (s_idx + 1) * r]
+            shape = keys[0].shape
+            # Synthetic input preparation stays outside the timers.
+            rng = np.random.default_rng([seed & 0xFFFFFFFF, i, s_idx])
+            data = rng.standard_normal((batch, channels, shape.length))
+            feature_map = FeatureMap(data=data, shape=shape)
+            t0 = time.perf_counter_ns()
+            for key in keys:
+                pair = cache.get_or_build(key)
+            t1 = time.perf_counter_ns()
+            multi_direction_scan(feature_map, pair, params)
+            t2 = time.perf_counter_ns()
+            stage_ns[s_idx] += t1 - t0
+            total_ns += t2 - t0
+    return sum(stage_ns), total_ns, stage_ns
 
 
 def run_scenario(
@@ -332,54 +280,47 @@ def run_scenario(
     """
     stages = stages if stages is not None else StageModel()
     params = params if params is not None else default_params()
-    sides = scenario.external_sides()
     seed = scenario.seed
-
     stream = key_stream(scenario, stages)
+    n = len(stream)
     unique_keys = len({key for sample in stream for key in sample})
+    warmups = [w % n for w in range(warmup)]
 
     # Timer warm-up against a scratch cache keeps the measured cold pass
     # genuinely cold.
     scratch = ScanCache(capacity=cache_capacity)
-    for w in range(warmup):
-        i = w % len(sides)
-        _forward(scratch, i, sides[i], stages, params, seed, batch, channels)
+    _run_pass(scratch, stream, warmups, stages, params, seed, batch, channels)
 
     cache = ScanCache(capacity=cache_capacity)
-    cold_index_ns, cold_latency_ns, cold_stage_ns = _measured_pass(
-        cache, sides, stages, params, seed, batch, channels
+    cold_index_ns, cold_latency_ns, cold_stage_ns = _run_pass(
+        cache, stream, range(n), stages, params, seed, batch, channels
     )
     cold_stats = cache.snapshot_stats()
 
     # The cold pass doubles as the priming pass; warm-up forwards then
     # run against the primed cache before the warm measurement.
-    for w in range(warmup):
-        i = w % len(sides)
-        _forward(cache, i, sides[i], stages, params, seed, batch, channels)
+    _run_pass(cache, stream, warmups, stages, params, seed, batch, channels)
     before_warm = cache.snapshot_stats()
-    warm_index_ns, warm_latency_ns, warm_stage_ns = _measured_pass(
-        cache, sides, stages, params, seed, batch, channels
+    warm_index_ns, warm_latency_ns, warm_stage_ns = _run_pass(
+        cache, stream, range(n), stages, params, seed, batch, channels
     )
     warm_stats = cache.snapshot_stats()
     warm_requests = warm_stats.requests - before_warm.requests
     warm_hits = warm_stats.hits - before_warm.hits
 
-    n = len(sides)
     cold_ms = cold_latency_ns / n / 1e6
     warm_ms = warm_latency_ns / n / 1e6
-    per_stage = []
-    for s_idx, stride in enumerate(stages.strides):
-        lo = s_idx * stages.requests_per_stage
-        hi = lo + stages.requests_per_stage
-        per_stage.append(
-            {
-                "stride": stride,
-                "requests": n * stages.requests_per_stage,
-                "unique_keys": len({k for sample in stream for k in sample[lo:hi]}),
-                "cold_index_ms": cold_stage_ns[s_idx] / 1e6,
-                "warm_index_ms": warm_stage_ns[s_idx] / 1e6,
-            }
-        )
+    r = stages.requests_per_stage
+    per_stage = [
+        {
+            "stride": stride,
+            "requests": n * r,
+            "unique_keys": len({k for sample in stream for k in sample[s * r : (s + 1) * r]}),
+            "cold_index_ms": cold_stage_ns[s] / 1e6,
+            "warm_index_ms": warm_stage_ns[s] / 1e6,
+        }
+        for s, stride in enumerate(stages.strides)
+    ]
 
     return BenchReport(
         scenario=scenario.name,
@@ -418,15 +359,8 @@ def emit_report(report: BenchReport, format: str = "json") -> bytes:
         return (json.dumps(report.to_dict(), indent=2) + "\n").encode("utf-8")
     if format == "csv":
         header = "scenario,cold_ms,warm_ms,reduction_pct,hit_rate_pct"
-        row = ",".join(
-            [
-                report.scenario,
-                repr(report.cold_ms),
-                repr(report.warm_ms),
-                repr(report.reduction_pct),
-                repr(report.hit_rate_pct),
-            ]
-        )
+        floats = [repr(getattr(report, name)) for name in header.split(",")[1:]]
+        row = ",".join([report.scenario, *floats])
         return (header + "\n" + row + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {format!r}; expected 'json' or 'csv'")
 
@@ -445,21 +379,25 @@ def run_cache_stress(
 
     Returns:
         Summary dict including a ``violations`` count (0 on success).
+
+    Raises:
+        ValueError: if a count is below 1, or ``threads`` exceeds
+            ``MAX_STRESS_THREADS``; checked before any thread starts.
     """
     if threads < 1 or keys < 1 or iters < 1:
         raise ValueError("threads, keys, and iters must all be >= 1")
+    if threads > MAX_STRESS_THREADS:
+        raise ValueError(f"threads must be <= {MAX_STRESS_THREADS}, got {threads}")
     rng = np.random.default_rng(seed)
     side_max = max(12, int((2 * keys) ** 0.5) + 2)  # keep the draw space ample
-    pool: list[CacheKey] = []
-    seen = set()
-    while len(pool) < keys:
+    reference: dict[CacheKey, IndexPair] = {}
+    while len(reference) < keys:
         h, w = (int(v) for v in rng.integers(1, side_max + 1, size=2))
-        device = "host" if len(pool) % 2 == 0 else "accel:0"
+        device = "host" if len(reference) % 2 == 0 else "accel:0"
         key = CacheKey(h, w, device)
-        if key not in seen:
-            seen.add(key)
-            pool.append(key)
-    reference = {key: build_topoa_indices(key.shape) for key in pool}
+        if key not in reference:
+            reference[key] = build_topoa_indices(key.shape)
+    pool = list(reference)
     cache = ScanCache(capacity=capacity if capacity is not None else max(1, keys // 2))
 
     def worker(worker_id: int) -> int:

@@ -72,12 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser = top.add_parser("bench", help="caching scenario benchmarks")
     bench_sub = bench_parser.add_subparsers(dest="command", required=True)
 
-    run = bench_sub.add_parser("run", help="run a scenario and emit a report")
-    run.add_argument("--scenario", required=True,
-                     choices=["fixed", "two-scale", "multi-scale", "unique"])
-    run.add_argument("--samples", type=_positive_int, default=100)
-    run.add_argument("--strides", type=_strides, default=(4, 8, 16, 32))
-    run.add_argument("--requests-per-stage", type=_positive_int, default=1)
+    scenario_args = argparse.ArgumentParser(add_help=False)
+    scenario_args.add_argument("--scenario", required=True,
+                               choices=["fixed", "two-scale", "multi-scale", "unique"])
+    scenario_args.add_argument("--samples", type=_positive_int, default=100)
+    scenario_args.add_argument("--strides", type=_strides, default=(4, 8, 16, 32))
+    scenario_args.add_argument("--requests-per-stage", type=_positive_int, default=1)
+
+    run = bench_sub.add_parser("run", parents=[scenario_args],
+                               help="run a scenario and emit a report")
     run.add_argument("--capacity", type=_positive_int, default=64)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--batch", type=_positive_int, default=1)
@@ -86,12 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None)
     run.set_defaults(func=_cmd_bench_run)
 
-    oracle = bench_sub.add_parser("oracle", help="print the analytic hit rate")
-    oracle.add_argument("--scenario", required=True,
-                        choices=["fixed", "two-scale", "multi-scale", "unique"])
-    oracle.add_argument("--samples", type=_positive_int, default=100)
-    oracle.add_argument("--strides", type=_strides, default=(4, 8, 16, 32))
-    oracle.add_argument("--requests-per-stage", type=_positive_int, default=1)
+    oracle = bench_sub.add_parser("oracle", parents=[scenario_args],
+                                  help="print the analytic hit rate")
     oracle.set_defaults(func=_cmd_bench_oracle)
 
     scan_parser = top.add_parser("scan", help="index-pair utilities")
@@ -136,13 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    scenario = bench.make_scenario(
-        args.scenario, sample_count=args.samples, seed=_resolve_seed(args)
-    )
+def _scenario_and_stages(
+    args: argparse.Namespace, seed: int = 0
+) -> tuple[bench.Scenario, bench.StageModel]:
+    scenario = bench.make_scenario(args.scenario, sample_count=args.samples, seed=seed)
     stages = bench.StageModel(
         strides=args.strides, requests_per_stage=args.requests_per_stage
     )
+    return scenario, stages
+
+
+def _cmd_bench_run(args: argparse.Namespace) -> int:
+    scenario, stages = _scenario_and_stages(args, seed=_resolve_seed(args))
     report = bench.run_scenario(
         scenario,
         stages,
@@ -155,10 +159,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_oracle(args: argparse.Namespace) -> int:
-    scenario = bench.make_scenario(args.scenario, sample_count=args.samples)
-    stages = bench.StageModel(
-        strides=args.strides, requests_per_stage=args.requests_per_stage
-    )
+    scenario, stages = _scenario_and_stages(args)
     rate = bench.analytic_hit_rate(scenario, stages)
     print(json.dumps({"scenario": scenario.name, "analytic_hit_rate_pct": rate}))
     return 0

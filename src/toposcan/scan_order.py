@@ -80,10 +80,6 @@ class IndexPair:
         self.forward.setflags(write=False)
         self.inverse.setflags(write=False)
 
-    def copy(self) -> "IndexPair":
-        """Value-identical deep copy (fresh arrays, same contents)."""
-        return type(self)(self.forward.copy(), self.inverse.copy(), self.shape)
-
 
 @dataclass(frozen=True)
 class CrossIndexPair(IndexPair):

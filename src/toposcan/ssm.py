@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 from scipy.signal import lfilter
 
-from .scan_order import CrossIndexPair, GridShape, IndexPair
+from .scan_order import GridShape, IndexPair
 
 CHUNK = 64
 """Steps per chunk of the chunked scan."""
@@ -237,7 +237,7 @@ def scan_sequence(x: np.ndarray, params: SsmParams) -> np.ndarray:
 
 def multi_direction_scan(
     x: FeatureMap,
-    indices: IndexPair | CrossIndexPair,
+    indices: IndexPair,
     params: SsmParams,
 ) -> FeatureMap:
     """Gather, scan, and scatter along all four directions, then sum.

@@ -28,6 +28,13 @@ class TestScenarios:
     def test_cli_aliases(self):
         assert make_scenario("two-scale").name == "two_scale"
         assert make_scenario("unique").name == "unique_per_sample"
+        assert make_scenario("two_scale").name == "two_scale"
+        assert make_scenario("multi_scale").name == "multi_scale"
+        assert make_scenario("unique-per-sample").name == "unique_per_sample"
+        assert make_scenario("unique_per_sample").name == "unique_per_sample"
+        assert make_scenario(" Fixed ").name == "fixed"
+        with pytest.raises(ValueError):
+            make_scenario("two scale")
 
     def test_unique_rule(self):
         scenario = Scenario(name="unique_per_sample", sample_count=5)
@@ -119,6 +126,22 @@ class TestRunScenario:
         assert report.fps == 1000.0 / report.warm_ms
         assert report.total_requests == 6 * len(SMALL_STAGES.strides)
 
+    def test_stages_slice_repeated_requests(self):
+        # Each stage issues three requests for its one key, so a pass over
+        # the stream requests n * stages * 3 keys. Sides 256 and 512 give
+        # stage keys 16/8 and 32/16: two per stage, three in all.
+        scenario = make_scenario("two-scale", sample_count=4, seed=0)
+        stages = StageModel(strides=(16, 32), requests_per_stage=3)
+        report = run_scenario(scenario, stages, cache_capacity=64, channels=1, warmup=2)
+        assert report.total_requests == 4 * 2 * 3
+        assert [s["stride"] for s in report.per_stage] == [16, 32]
+        assert [s["requests"] for s in report.per_stage] == [12, 12]
+        assert [s["unique_keys"] for s in report.per_stage] == [2, 2]
+        assert report.unique_keys == 3
+        assert report.hit_rate_pct == analytic_hit_rate(scenario, stages)
+        assert report.hit_rate_pct == 100.0 * (24 - 3) / 24
+        assert report.warm_hit_rate_pct == 100.0
+
 
 class TestEmitReport:
     @pytest.fixture
@@ -165,3 +188,9 @@ class TestCacheStress:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             run_cache_stress(threads=0)
+
+    def test_rejects_thread_count_above_cap(self):
+        # 65 is one past the cap: if the check were missing, the pool
+        # would start only a handful of threads.
+        with pytest.raises(ValueError, match="threads must be <= 64"):
+            run_cache_stress(threads=65, keys=1, iters=1)

@@ -172,3 +172,11 @@ class TestCacheStress:
         summary = json.loads(out)
         assert summary["violations"] == 0
         assert summary["requests"] == 80
+
+    def test_thread_count_above_cap_reports_error(self, capsys):
+        code, out, err = run_cli(capsys, "cache", "stress", "--threads", "65", "--iters", "1")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "threads must be <= 64, got 65"
+        }

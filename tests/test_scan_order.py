@@ -123,14 +123,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             pair.forward[0, 0] = 7
 
-    def test_copy_is_value_identical_and_independent(self):
-        pair = build_topoa_indices(GridShape(3, 5))
-        dup = pair.copy()
-        assert dup is not pair
-        assert np.array_equal(dup.forward, pair.forward)
-        assert np.array_equal(dup.inverse, pair.inverse)
-        assert dup.forward.base is not pair.forward
-
 
 class TestLocality:
     @given(shapes)

@@ -66,6 +66,9 @@ WARMUP_FORWARDS = 8
 # Each stress thread is an OS thread; the cap keeps a mistyped count from
 # asking the OS for thousands of them.
 MAX_STRESS_THREADS = 64
+# Reference memory grows about quadratically with the key count (grid
+# sides reach about sqrt(2 * keys)); the cap keeps it to a few hundred MB.
+MAX_STRESS_KEYS = 1024
 
 
 @dataclass(frozen=True)
@@ -381,13 +384,16 @@ def run_cache_stress(
         Summary dict including a ``violations`` count (0 on success).
 
     Raises:
-        ValueError: if a count is below 1, or ``threads`` exceeds
-            ``MAX_STRESS_THREADS``; checked before any thread starts.
+        ValueError: if a count is below 1, ``threads`` exceeds
+            ``MAX_STRESS_THREADS`` or ``keys`` exceeds ``MAX_STRESS_KEYS``;
+            checked before any reference is built or thread starts.
     """
     if threads < 1 or keys < 1 or iters < 1:
         raise ValueError("threads, keys, and iters must all be >= 1")
     if threads > MAX_STRESS_THREADS:
         raise ValueError(f"threads must be <= {MAX_STRESS_THREADS}, got {threads}")
+    if keys > MAX_STRESS_KEYS:
+        raise ValueError(f"keys must be <= {MAX_STRESS_KEYS}, got {keys}")
     rng = np.random.default_rng(seed)
     side_max = max(12, int((2 * keys) ** 0.5) + 2)  # keep the draw space ample
     reference: dict[CacheKey, IndexPair] = {}

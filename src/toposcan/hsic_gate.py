@@ -5,6 +5,7 @@ channel (seeded Gaussian random projection, then row normalization), RBF
 kernels with a shared median-heuristic bandwidth are built over the
 channel descriptors, and the dependence between branches is scored as
 the normalized Frobenius inner product of the double-centered kernels.
+Each branch's distances come once from its Gram matrix, for the whole batch.
 A scalar sigmoid gate converts the score into a blend weight, and a
 residual shortcut keeps a minimum contribution of the diagonal-scan
 branch regardless of the measured dependence.
@@ -160,6 +161,31 @@ def project_and_normalize(features: np.ndarray, projection: np.ndarray) -> np.nd
     return np.where(norms < ZERO_ROW_EPS, 0.0, projected / safe)
 
 
+# Squared row distances of (..., C, k) stacks from the Gram identity
+# n_i + n_j - 2 x_i.x_j: n is the Gram diagonal, so the diagonal is exactly 0.
+def _sq_dists(x: np.ndarray) -> np.ndarray:
+    gram = x @ x.swapaxes(-1, -2)
+    norms = np.diagonal(gram, axis1=-2, axis2=-1)
+    return np.maximum(norms[..., :, None] + norms[..., None, :] - 2.0 * gram, 0.0)
+
+
+def _rbf(sq_dists: np.ndarray, sigma_sq: float | np.ndarray) -> np.ndarray:
+    return np.exp(-sq_dists / (2.0 * np.asarray(sigma_sq)[..., None, None]))
+
+
+def _bandwidth(dc: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    pooled = np.concatenate([d[(..., *np.triu_indices(d.shape[-1], k=1))] for d in (dc, dt)], -1)
+    return np.maximum(np.median(pooled, axis=-1), BANDWIDTH_FLOOR)
+
+
+def _hsic(kc: np.ndarray, kt: np.ndarray) -> np.ndarray:
+    def center(k: np.ndarray) -> np.ndarray:
+        cols, rows = k.mean(axis=-2, keepdims=True), k.mean(axis=-1, keepdims=True)
+        return k - cols - rows + k.mean(axis=(-2, -1), keepdims=True)
+
+    return np.sum(center(kc) * center(kt), axis=(-2, -1)) / (kc.shape[-1] - 1) ** 2
+
+
 def rbf_kernel(x: np.ndarray, sigma_sq: float) -> np.ndarray:
     """Gaussian kernel matrix K[i, j] = exp(-|x_i - x_j|^2 / (2 sigma_sq)).
 
@@ -173,16 +199,7 @@ def rbf_kernel(x: np.ndarray, sigma_sq: float) -> np.ndarray:
         raise ValueError(f"expected a 2-D descriptor matrix, got ndim={x.ndim}")
     if not sigma_sq > 0:
         raise ValueError(f"sigma_sq must be > 0, got {sigma_sq}")
-    diff = x[:, None, :] - x[None, :, :]
-    sq_dists = np.einsum("ijk,ijk->ij", diff, diff)
-    return np.exp(-sq_dists / (2.0 * sigma_sq))
-
-
-def _offdiag_sq_dists(x: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - x[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    iu = np.triu_indices(x.shape[0], k=1)
-    return sq[iu]
+    return _rbf(_sq_dists(x), sigma_sq)
 
 
 def median_bandwidth(xc: np.ndarray, xt: np.ndarray) -> float:
@@ -200,8 +217,7 @@ def median_bandwidth(xc: np.ndarray, xt: np.ndarray) -> float:
     xt = np.asarray(xt, dtype=np.float64)
     if xc.shape[0] < 2 or xt.shape[0] < 2:
         raise ValueError("median bandwidth needs at least 2 descriptor rows per branch")
-    pooled = np.concatenate([_offdiag_sq_dists(xc), _offdiag_sq_dists(xt)])
-    return max(float(np.median(pooled)), BANDWIDTH_FLOOR)
+    return float(_bandwidth(_sq_dists(xc), _sq_dists(xt)))
 
 
 def hsic_estimate(kc: np.ndarray, kt: np.ndarray) -> float:
@@ -220,24 +236,14 @@ def hsic_estimate(kc: np.ndarray, kt: np.ndarray) -> float:
         raise ValueError("kernel matrices must be square")
     if kc.shape != kt.shape:
         raise ValueError(f"kernel shapes differ: {kc.shape} vs {kt.shape}")
-    c = kc.shape[0]
-    if c < 2:
+    if kc.shape[0] < 2:
         raise ValueError("dependence estimate needs at least 2 channels")
-
-    def center(k: np.ndarray) -> np.ndarray:
-        return k - k.mean(axis=0, keepdims=True) - k.mean(axis=1, keepdims=True) + k.mean()
-
-    return float(np.sum(center(kc) * center(kt)) / (c - 1) ** 2)
+    return float(_hsic(kc, kt))
 
 
 def gate_weight(hsic: float, cfg: GateConfig) -> float:
     """Sigmoid gate w = sigmoid(alpha * hsic / temperature), in (0, 1)."""
     return float(expit(cfg.alpha * hsic / cfg.temperature))
-
-
-def _blend(fc: np.ndarray, ft: np.ndarray, w: float, rho: float) -> np.ndarray:
-    fused = w * ft + (1.0 - w) * fc
-    return (1.0 - rho) * fused + rho * ft
 
 
 def fuse_with_diagnostics(
@@ -251,25 +257,19 @@ def fuse_with_diagnostics(
     convex blend; the residual shortcut then mixes that branch back in
     with weight rho, making the rule intentionally asymmetric.
     """
-    if cfg is None:
-        cfg = GateConfig()
-    batch, channels, length = pair.f_cross.shape
+    cfg = GateConfig() if cfg is None else cfg
+    _, channels, length = pair.f_cross.shape
     if channels < 2:
         raise ValueError("gating needs at least 2 channels")
-    width = effective_projection_width(cfg.d_proj, length)
-    projection = projection_matrix(length, width, cfg.seed)
-
-    out = np.empty_like(pair.f_topoa)
-    diagnostics: list[GateDiagnostics] = []
-    for b in range(batch):
-        xc = project_and_normalize(pair.f_cross[b], projection)
-        xt = project_and_normalize(pair.f_topoa[b], projection)
-        sigma_sq = median_bandwidth(xc, xt)
-        score = hsic_estimate(rbf_kernel(xc, sigma_sq), rbf_kernel(xt, sigma_sq))
-        w = gate_weight(score, cfg)
-        out[b] = _blend(pair.f_cross[b], pair.f_topoa[b], w, cfg.rho)
-        diagnostics.append(GateDiagnostics(hsic=score, sigma_sq=sigma_sq, w=w))
-    return out, diagnostics
+    projection = projection_matrix(length, effective_projection_width(cfg.d_proj, length), cfg.seed)
+    dc = _sq_dists(project_and_normalize(pair.f_cross, projection))
+    dt = _sq_dists(project_and_normalize(pair.f_topoa, projection))
+    sigma_sq = _bandwidth(dc, dt)
+    scores = _hsic(_rbf(dc, sigma_sq), _rbf(dt, sigma_sq))
+    items = zip(scores.tolist(), sigma_sq.tolist())
+    diagnostics = [GateDiagnostics(h, s, gate_weight(h, cfg)) for h, s in items]
+    a = cfg.rho + (1.0 - cfg.rho) * np.array([d.w for d in diagnostics])[:, None, None]
+    return a * pair.f_topoa + (1.0 - a) * pair.f_cross, diagnostics
 
 
 def fuse(pair: BranchPair, cfg: GateConfig | None = None) -> np.ndarray:

@@ -34,6 +34,9 @@ __all__ = [
 
 RAW_MAGIC = b"TMSK"
 _RAW_HEADER = struct.Struct("<4sII4x")  # magic, height, width, reserved
+# The bytes that bytes.isspace() accepts, as a lookup table.
+_PBM_SPACE = np.zeros(256, dtype=bool)
+_PBM_SPACE[list(b" \t\n\v\f\r")] = True
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,35 @@ def _pbm_tokens(data: bytes):
             pos = end
 
 
+def _p1_digits(payload: bytes, count: int) -> np.ndarray:
+    """The first ``count`` 0/1 digits of a P1 payload, as uint8.
+
+    Tokens are read as by :func:`_pbm_tokens` up to and including the one
+    that holds the last needed digit; every byte of those must be 0 or 1.
+    """
+    buf = np.frombuffer(payload, dtype=np.uint8)
+    space = _PBM_SPACE[buf]
+    at = np.arange(buf.size)
+    # A '#' that starts a token comments out the bytes up to its newline.
+    starts = (buf == ord("#")) & np.concatenate(([True], space[:-1]))
+    last_start = np.maximum.accumulate(np.where(starts, at, -1))
+    last_newline = np.maximum.accumulate(np.where(buf == ord("\n"), at, -1))
+    in_comment = last_start > np.concatenate(([-1], last_newline[:-1]))
+    pos = np.flatnonzero(~space & ~in_comment)
+    if pos.size >= count:
+        # Read on to the end of the token that holds the last needed digit.
+        ends = np.append(np.flatnonzero(space), buf.size)
+        token_end = ends[np.searchsorted(ends, pos[count - 1])]
+        pos = pos[: np.searchsorted(pos, token_end)]
+    digits = buf[pos]
+    bad = np.flatnonzero((digits != ord("0")) & (digits != ord("1")))
+    if bad.size:
+        raise ValueError(f"invalid P1 digit {chr(digits[bad[0]])!r}")
+    if digits.size < count:
+        raise ValueError("truncated P1 payload")
+    return digits[:count] - ord("0")
+
+
 def _read_pbm(data: bytes) -> np.ndarray:
     tokens = _pbm_tokens(data)
     try:
@@ -111,17 +143,7 @@ def _read_pbm(data: bytes) -> np.ndarray:
     if w < 1 or h < 1:
         raise ValueError(f"invalid PBM dimensions {w}x{h}")
     if magic == b"P1":
-        digits: list[int] = []
-        for token, _ in tokens:
-            for ch in token:
-                if ch not in (0x30, 0x31):
-                    raise ValueError(f"invalid P1 digit {chr(ch)!r}")
-                digits.append(ch - 0x30)
-            if len(digits) >= h * w:
-                break
-        if len(digits) < h * w:
-            raise ValueError("truncated P1 payload")
-        return np.array(digits[: h * w], dtype=np.uint8).reshape(h, w)
+        return _p1_digits(data[header_end:], h * w).reshape(h, w)
     # P4: a single whitespace byte separates the header from the payload.
     payload = data[header_end + 1 :]
     row_bytes = (w + 7) // 8

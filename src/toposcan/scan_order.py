@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "GridShape",
     "IndexPair",
-    "CrossIndexPair",
     "build_base_diagonal",
     "build_base_antidiagonal",
     "build_topoa_indices",
@@ -58,8 +57,10 @@ class GridShape:
 class IndexPair:
     """Four forward scan orders and their inverses for one grid shape.
 
-    ``forward`` rows are: base diagonal, base anti-diagonal, and the
-    full-sequence reversals of those two. ``inverse`` satisfies the
+    ``forward`` rows are, for the diagonal family: base diagonal, base
+    anti-diagonal, and the full-sequence reversals of those two; for the
+    axis-aligned family: row-major identity, column-major order, and
+    their full-sequence reversals. ``inverse`` satisfies the
     scatter identity ``inverse[k, forward[k, j]] == j`` exactly, so
     gathering a vector by a forward row and re-gathering by the matching
     inverse row restores it bit-for-bit.
@@ -79,15 +80,6 @@ class IndexPair:
                 raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
         self.forward.setflags(write=False)
         self.inverse.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class CrossIndexPair(IndexPair):
-    """Axis-aligned counterpart of :class:`IndexPair`.
-
-    ``forward`` rows are: row-major identity, column-major order, and
-    their full-sequence reversals. Same invariants as :class:`IndexPair`.
-    """
 
 
 def _diagonal_order(shape: GridShape, mirror_columns: bool) -> np.ndarray:
@@ -155,7 +147,7 @@ def build_topoa_indices(shape: GridShape) -> IndexPair:
     return IndexPair(forward=forward, inverse=_invert_rows(forward), shape=shape)
 
 
-def build_cross_indices(shape: GridShape) -> CrossIndexPair:
+def build_cross_indices(shape: GridShape) -> IndexPair:
     """Build the axis-aligned forward/inverse index pair for a grid.
 
     Forward rows: [row-major identity, column-major, reversed row-major,
@@ -166,7 +158,7 @@ def build_cross_indices(shape: GridShape) -> CrossIndexPair:
     row_major = np.arange(shape.length, dtype=np.int64)
     col_major = row_major.reshape(h, w).T.ravel()
     forward = np.stack([row_major, col_major, row_major[::-1], col_major[::-1]])
-    return CrossIndexPair(forward=forward, inverse=_invert_rows(forward), shape=shape)
+    return IndexPair(forward=forward, inverse=_invert_rows(forward), shape=shape)
 
 
 def adjacent_step_distances(order: np.ndarray, shape: GridShape) -> np.ndarray:

@@ -194,3 +194,6 @@ class TestCacheStress:
         # would start only a handful of threads.
         with pytest.raises(ValueError, match="threads must be <= 64"):
             run_cache_stress(threads=65, keys=1, iters=1)
+        # 1025 keys is one past the key cap, which bounds reference memory.
+        with pytest.raises(ValueError, match="keys must be <= 1024"):
+            run_cache_stress(threads=1, keys=1025, iters=1)

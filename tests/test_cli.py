@@ -180,3 +180,9 @@ class TestCacheStress:
         assert json.loads(err) == {
             "error": "ValueError", "message": "threads must be <= 64, got 65"
         }
+        code, out, err = run_cli(capsys, "cache", "stress", "--keys", "1025", "--iters", "1")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "keys must be <= 1024, got 1025"
+        }

@@ -10,6 +10,7 @@ from toposcan.hsic_gate import (
     BranchPair,
     GateConfig,
     _build_projection,
+    _sq_dists,
     effective_projection_width,
     fuse,
     fuse_with_diagnostics,
@@ -32,6 +33,29 @@ def trace_form_oracle(kc, kt):
 def random_psd(rng, c):
     g = rng.standard_normal((c, c + 2))
     return g @ g.T
+
+
+def difference_sq_dists(x):
+    """Reference squared distances from the explicit (C, C, k) difference tensor."""
+    diff = x[:, None, :] - x[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def difference_bandwidth(xc, xt):
+    """Reference median heuristic over the pooled off-diagonal distances."""
+    pooled = [difference_sq_dists(x)[np.triu_indices(x.shape[0], k=1)] for x in (xc, xt)]
+    return max(float(np.median(np.concatenate(pooled))), 1e-12)
+
+
+def descriptor_cases():
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal((3, 5))
+    return {
+        "random": rng.standard_normal((6, 5)),
+        "duplicate": np.concatenate([base, base]),
+        "near_duplicate": base[:1] + 1e-9 * rng.standard_normal((6, 5)),
+        "all_zero": np.zeros((4, 5)),
+    }
 
 
 class TestProjection:
@@ -91,9 +115,7 @@ class TestProjection:
         scaled = f / np.sqrt(1024.0)
 
         def sq_dists(x):
-            diff = x[:, None, :] - x[None, :, :]
-            sq = np.einsum("ijk,ijk->ij", diff, diff)
-            return sq[np.triu_indices(x.shape[0], k=1)]
+            return difference_sq_dists(x)[np.triu_indices(x.shape[0], k=1)]
 
         original = sq_dists(scaled)
         reduced = sq_dists(projected)
@@ -124,6 +146,28 @@ class TestRbfKernel:
         with pytest.raises(ValueError):
             rbf_kernel(np.zeros((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("case", sorted(descriptor_cases()))
+    def test_matches_difference_formula(self, case):
+        x = descriptor_cases()[case]
+        k = rbf_kernel(x, 0.7)
+        np.testing.assert_allclose(k, np.exp(-difference_sq_dists(x) / 1.4), rtol=0, atol=1e-14)
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(np.diag(k), np.ones(x.shape[0]))
+        assert np.all(k <= 1.0)
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("case", sorted(descriptor_cases()))
+    def test_matches_difference_formula(self, case):
+        x = descriptor_cases()[case]
+        d = _sq_dists(x)
+        # Gram rounding is absolute, on the scale of the squared row norms.
+        scale = max(1.0, float(np.max(np.sum(x * x, axis=1))))
+        reference = difference_sq_dists(x)
+        np.testing.assert_allclose(d, reference, rtol=1e-12, atol=1e-14 * scale)
+        assert np.all(d >= 0.0)
+        assert np.all(d[reference == 0.0] == 0.0)  # the diagonal and duplicate rows
+
 
 class TestMedianBandwidth:
     def test_collapsed_inputs_hit_floor(self):
@@ -148,6 +192,23 @@ class TestMedianBandwidth:
     def test_rejects_single_row(self):
         with pytest.raises(ValueError):
             median_bandwidth(np.zeros((1, 4)), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("case", sorted(descriptor_cases()))
+    def test_matches_difference_formula(self, case):
+        x = descriptor_cases()[case]
+        y = np.random.default_rng(14).standard_normal(x.shape)
+        for xc, xt in ((x, x), (x, y), (y, x)):
+            assert median_bandwidth(xc, xt) == pytest.approx(
+                difference_bandwidth(xc, xt), rel=1e-12, abs=1e-14
+            )
+
+    def test_unequal_row_counts(self):
+        rng = np.random.default_rng(15)
+        xc, xt = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
+        # 3 + 10 pooled distances: the median is the 7th smallest.
+        expected = difference_bandwidth(xc, xt)
+        assert median_bandwidth(xc, xt) == pytest.approx(expected, rel=1e-12)
+        assert median_bandwidth(xt, xc) == median_bandwidth(xc, xt)
 
 
 class TestHsicEstimate:
@@ -245,15 +306,17 @@ class TestFuse:
 
     def test_per_item_gating_is_independent(self):
         rng = np.random.default_rng(9)
-        f1 = rng.standard_normal((1, 4, 32))
-        f2 = rng.standard_normal((1, 4, 32))
-        both = BranchPair(
-            f_cross=np.concatenate([f1, f2]),
-            f_topoa=np.concatenate([f2, f1]),
-        )
-        _, diags = fuse_with_diagnostics(both, GateConfig())
-        _, first = fuse_with_diagnostics(BranchPair(f_cross=f1, f_topoa=f2), GateConfig())
-        assert diags[0] == first[0]
+        fc, ft = rng.standard_normal((2, 3, 4, 32))
+        fc[2] = ft[2] + 0.1 * fc[2]  # a strongly dependent item among two weak ones
+        out, diags = fuse_with_diagnostics(BranchPair(f_cross=fc, f_topoa=ft), GateConfig())
+        assert len({d.sigma_sq for d in diags}) == 3
+        assert len({d.w for d in diags}) == 3
+        for b in range(3):
+            alone, (diag,) = fuse_with_diagnostics(
+                BranchPair(f_cross=fc[b : b + 1], f_topoa=ft[b : b + 1]), GateConfig()
+            )
+            assert np.array_equal(out[b], alone[0])
+            assert diags[b] == diag
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

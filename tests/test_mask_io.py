@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from toposcan.mask_io import (
     RAW_MAGIC,
+    _p1_digits,
+    _pbm_tokens,
     binarize,
     read_manifest,
     read_mask,
@@ -191,6 +193,60 @@ manifests = json_values | st.fixed_dictionaries({"items": st.lists(manifest_item
 fuzz_settings = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
+
+
+def loop_p1_digits(payload, count):
+    """Reference P1 payload parser: one Python step per token and digit."""
+    digits = []
+    for token, _ in _pbm_tokens(payload):
+        for ch in token:
+            if ch not in (0x30, 0x31):
+                raise ValueError(f"invalid P1 digit {chr(ch)!r}")
+            digits.append(ch - 0x30)
+        if len(digits) >= count:
+            break
+    if len(digits) < count:
+        raise ValueError("truncated P1 payload")
+    return np.array(digits[:count], dtype=np.uint8)
+
+
+def p1_outcome(parse, payload, count):
+    try:
+        digits = parse(payload, count)
+    except ValueError as exc:
+        return str(exc)
+    assert digits.dtype == np.uint8
+    return digits.tolist()
+
+
+class TestP1Payload:
+    @pytest.mark.parametrize(
+        "payload, count, expected",
+        [
+            (b" 1 0\n1", 3, [1, 0, 1]),
+            (b" 101", 3, [1, 0, 1]),
+            (b" 1 # 0 x\n0", 2, [1, 0]),
+            (b" 1#0 1", 2, "invalid P1 digit '#'"),
+            (b" 1 01x", 2, "invalid P1 digit 'x'"),
+            (b" 1 0 x", 2, [1, 0]),
+            (b" 1 0 # 1", 3, "truncated P1 payload"),
+            (b"", 1, "truncated P1 payload"),
+        ],
+    )
+    def test_tokens_comments_and_errors(self, payload, count, expected):
+        assert p1_outcome(_p1_digits, payload, count) == expected
+        assert p1_outcome(loop_p1_digits, payload, count) == expected
+
+    @given(
+        st.lists(st.sampled_from([b"0", b"1", b" ", b"\n", b"\t", b"\r", b"#", b"x"]), max_size=40),
+        st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop_parser(self, parts, count):
+        payload = b" " + b"".join(parts)
+        assert p1_outcome(_p1_digits, payload, count) == p1_outcome(
+            loop_p1_digits, payload, count
+        )
 
 
 class TestReaderFuzz:

@@ -10,6 +10,8 @@ Subcommands:
 
 The environment variable TOPOSCAN_SEED, when set, overrides any --seed.
 Contract violations exit nonzero with a one-line error JSON on stderr.
+Sizes whose largest array would exceed MAX_CELLS elements are contract
+violations, raised before anything is allocated.
 """
 
 from __future__ import annotations
@@ -22,12 +24,15 @@ import sys
 import numpy as np
 
 from . import bench
-from .hsic_gate import BranchPair, GateConfig, fuse_with_diagnostics
+from .hsic_gate import BranchPair, GateConfig, effective_projection_width, fuse_with_diagnostics
 from .mask_io import binarize, read_manifest, read_mask
 from .scan_order import GridShape, build_cross_indices, build_topoa_indices
 from .topo_metrics import aggregate, topo_errors
 
 __all__ = ["main", "build_parser"]
+
+# Elements (float64 or int64, so 128 MB) in the largest array a command builds.
+MAX_CELLS = 2**24
 
 
 def _positive_int(text: str) -> int:
@@ -42,6 +47,11 @@ def _strides(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad stride list {text!r}") from exc
+
+
+def _check_cells(name: str, cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise ValueError(f"{name} is {cells} cells, over the budget of {MAX_CELLS}")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -147,6 +157,9 @@ def _scenario_and_stages(
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     scenario, stages = _scenario_and_stages(args, seed=_resolve_seed(args))
+    # strides[0] is the smallest stride, so its stage is the longest.
+    largest = stages.internal_shape(max(scenario.external_sides()), stages.strides[0]).length
+    _check_cells("batch * channels * largest stage length", args.batch * args.channels * largest)
     report = bench.run_scenario(
         scenario,
         stages,
@@ -166,6 +179,8 @@ def _cmd_bench_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_dump(args: argparse.Namespace) -> int:
+    # The JSON holds forward and inverse, four rows of h * w entries each.
+    _check_cells("8 * h * w index entries", 8 * args.h * args.w)
     shape = GridShape(args.h, args.w)
     pair = build_topoa_indices(shape) if args.kind == "topoa" else build_cross_indices(shape)
     payload = {
@@ -179,6 +194,8 @@ def _cmd_scan_dump(args: argparse.Namespace) -> int:
 
 
 def _cmd_gate_diag(args: argparse.Namespace) -> int:
+    _check_cells("b * c * l", args.b * args.c * args.l)
+    _check_cells("l * projection width", args.l * effective_projection_width(args.d_proj, args.l))
     seed = _resolve_seed(args)
     cfg = GateConfig(
         d_proj=args.d_proj,

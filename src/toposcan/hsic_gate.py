@@ -13,7 +13,6 @@ branch regardless of the measured dependence.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +36,6 @@ __all__ = [
 
 ZERO_ROW_EPS = 1e-12
 BANDWIDTH_FLOOR = 1e-12
-# Distinct (length, width, seed) projections kept resident, least recently
-# used evicted first.
-PROJECTION_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -116,25 +112,28 @@ def effective_projection_width(d_proj: int, length: int) -> int:
     return max(8, min(d_proj, length))
 
 
-@functools.lru_cache(maxsize=PROJECTION_CAPACITY)
-def _build_projection(length: int, width: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, length, width])
-    matrix = rng.standard_normal((length, width)) / np.sqrt(width)
-    matrix.setflags(write=False)
-    return matrix
+# No lock: racing threads draw the same rows, so a race only repeats a draw.
+_PROJECTIONS: dict[tuple[int, int], np.ndarray] = {}
 
 
 def projection_matrix(length: int, width: int, seed: int = 0) -> np.ndarray:
     """Cached (length, width) Gaussian projection with entries N(0,1)/sqrt(width).
 
     The 1/sqrt(width) scaling makes projected squared norms unbiased, so
-    pairwise distances are preserved in expectation. The same (length,
-    width, seed) always yields the bit-identical read-only matrix; the
-    PROJECTION_CAPACITY most recently used matrices stay resident.
+    pairwise distances are preserved in expectation. The result is a
+    read-only view of the first ``length`` rows of one matrix per (width,
+    seed), so a shorter length gives bitwise the prefix of a longer one
+    and the same arguments always give bit-identical values.
     """
     if length < 1 or width < 1:
         raise ValueError("projection dimensions must be >= 1")
-    return _build_projection(length, width, seed)
+    master = _PROJECTIONS.get((width, seed))
+    if master is None or master.shape[0] < length:
+        rng = np.random.default_rng([seed & 0xFFFFFFFF, width])
+        master = rng.standard_normal((length, width)) / np.sqrt(width)
+        master.setflags(write=False)
+        _PROJECTIONS[(width, seed)] = master
+    return master[:length]
 
 
 def project_and_normalize(features: np.ndarray, projection: np.ndarray) -> np.ndarray:
@@ -163,10 +162,14 @@ def project_and_normalize(features: np.ndarray, projection: np.ndarray) -> np.nd
 
 # Squared row distances of (..., C, k) stacks from the Gram identity
 # n_i + n_j - 2 x_i.x_j: n is the Gram diagonal, so the diagonal is exactly 0.
+# Entries at or below the identity's rounding, 8 eps (n_i + n_j), snap to 0,
+# so rows that differ only by rounding count as equal.
 def _sq_dists(x: np.ndarray) -> np.ndarray:
     gram = x @ x.swapaxes(-1, -2)
     norms = np.diagonal(gram, axis1=-2, axis2=-1)
-    return np.maximum(norms[..., :, None] + norms[..., None, :] - 2.0 * gram, 0.0)
+    scale = norms[..., :, None] + norms[..., None, :]
+    dists = scale - 2.0 * gram
+    return np.where(dists > 8.0 * np.finfo(np.float64).eps * scale, dists, 0.0)
 
 
 def _rbf(sq_dists: np.ndarray, sigma_sq: float | np.ndarray) -> np.ndarray:

@@ -1,10 +1,15 @@
 """CLI contract: subcommand output schemas, seeding, and error reporting."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toposcan.cli import main
+from toposcan.cli import MAX_CELLS, main
 from toposcan.mask_io import write_mask_pbm, write_mask_raw
 
 
@@ -186,3 +191,104 @@ class TestCacheStress:
         assert json.loads(err) == {
             "error": "ValueError", "message": "keys must be <= 1024, got 1025"
         }
+
+
+class TestCellBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gate", "diag", "--b", "100000", "--c", "100000", "--l", "100000"),
+            # b * c * l is small; the (l, width) projection is not.
+            ("gate", "diag", "--c", "2", "--l", "1048576", "--d-proj", "1048576"),
+            ("gate", "diag", "--c", "2", "--l", str(MAX_CELLS // 8 + 1), "--d-proj", "8"),
+            ("scan", "dump", "--h", "100000", "--w", "100000"),
+            ("bench", "run", "--scenario", "fixed", "--batch", "100000", "--channels", "100000"),
+        ],
+    )
+    def test_oversized_request_reports_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ValueError"
+        assert f"over the budget of {MAX_CELLS}" in payload["message"]
+
+
+def _int_flag(low, high):
+    return st.integers(low, high).map(str)
+
+
+def _flags(**strategies):
+    """argv pairs for every flag, each value drawn from its strategy."""
+    names = [f"--{name.replace('_', '-')}" for name in strategies]
+    return st.tuples(*strategies.values()).map(
+        lambda values: [part for pair in zip(names, values) for part in pair]
+    )
+
+
+_SCENARIO = _flags(
+    scenario=st.sampled_from(["fixed", "two-scale", "multi-scale", "unique", "bogus"]),
+    samples=_int_flag(1, 3),
+    strides=st.sampled_from(["16,32", "8,32", "32", "32,16", "0,8", "a,b"]),
+    requests_per_stage=_int_flag(1, 2),
+)
+_SEED = st.integers(-(2**40), 2**40).map(str)
+_REAL = st.one_of(st.floats(0.0, 2.0), st.floats(allow_nan=True, allow_infinity=True)).map(str)
+
+COMMANDS = {
+    "bench run": st.tuples(
+        _SCENARIO,
+        _flags(capacity=_int_flag(1, 4), seed=_SEED, batch=_int_flag(1, 2),
+               channels=_int_flag(1, 4), format=st.sampled_from(["json", "csv", "xml"])),
+    ).map(lambda parts: ["bench", "run", *parts[0], *parts[1]]),
+    "bench oracle": _SCENARIO.map(lambda flags: ["bench", "oracle", *flags]),
+    "scan dump": _flags(
+        h=_int_flag(1, 12), w=_int_flag(1, 12), kind=st.sampled_from(["topoa", "cross", "x"])
+    ).map(lambda flags: ["scan", "dump", *flags]),
+    "gate diag": _flags(
+        b=_int_flag(1, 3), c=_int_flag(1, 6), l=_int_flag(1, 80), seed=_SEED,
+        d_proj=_int_flag(1, 100), alpha=_REAL, temperature=_REAL, rho=_REAL,
+    ).map(lambda flags: ["gate", "diag", *flags]),
+    "topo report": st.sampled_from(["ok.json", "missing.json", "truncated.json"]),
+    "cache stress": _flags(
+        threads=_int_flag(1, 3), keys=_int_flag(1, 8), iters=_int_flag(1, 20),
+        capacity=_int_flag(1, 8), seed=_SEED,
+    ).map(lambda flags: ["cache", "stress", *flags]),
+}
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifests")
+    disk = np.zeros((5, 5), dtype=np.uint8)
+    disk[1:4, 1:4] = 1
+    write_mask_pbm(root / "disk.pbm", disk)
+    (root / "short.pbm").write_bytes(b"P4\n8")
+    for name, mask in (("ok.json", "disk.pbm"), ("truncated.json", "short.pbm")):
+        (root / name).write_text(json.dumps({"items": [{"pred": mask, "gt": "disk.pbm"}]}))
+    return root
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_exit_contract(self, manifests, command, data):
+        argv = data.draw(COMMANDS[command])
+        if command == "topo report":
+            argv = ["topo", "report", "--manifest", str(manifests / argv)]
+        if data.draw(st.booleans()):  # one flag value replaced by a malformed one
+            slot = data.draw(st.sampled_from(range(3, len(argv), 2)))
+            argv[slot] = data.draw(st.sampled_from(["0", "-1", "x", "", "1e999"]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            (line,) = err.getvalue().splitlines()
+            assert set(json.loads(line)) == {"error", "message"}

@@ -1,15 +1,17 @@
 """Gate math: projection, kernels, bandwidth, dependence score, fusion."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toposcan.hsic_gate import (
-    PROJECTION_CAPACITY,
+    _PROJECTIONS,
     BranchPair,
     GateConfig,
-    _build_projection,
     _sq_dists,
     effective_projection_width,
     fuse,
@@ -45,6 +47,12 @@ def difference_bandwidth(xc, xt):
     """Reference median heuristic over the pooled off-diagonal distances."""
     pooled = [difference_sq_dists(x)[np.triu_indices(x.shape[0], k=1)] for x in (xc, xt)]
     return max(float(np.median(np.concatenate(pooled))), 1e-12)
+
+
+def projection_reference(length, width, seed):
+    """A fresh (length, width) draw from the projection's documented generator."""
+    rng = np.random.default_rng([seed, width])
+    return rng.standard_normal((length, width)) / np.sqrt(width)
 
 
 def descriptor_cases():
@@ -91,14 +99,55 @@ class TestProjection:
     def test_determinism_per_key(self):
         a = projection_matrix(128, 32, seed=9)
         b = projection_matrix(128, 32, seed=9)
-        assert a is b
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable
         c = projection_matrix(128, 32, seed=10)
         assert not np.array_equal(a, c)
 
-    def test_cache_stays_at_its_bound(self):
-        for length in range(1, PROJECTION_CAPACITY + 20):
+    @pytest.mark.parametrize(
+        "seed, order",
+        [(101, "increasing"), (102, "decreasing"), (103, "shuffled")],
+    )
+    def test_every_length_is_a_prefix_of_one_draw(self, seed, order):
+        width, lengths = 17, list(range(1, 400, 7))
+        if order == "decreasing":
+            lengths.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(seed).shuffle(lengths)
+        reference = projection_reference(max(lengths), width, seed)
+        for length in lengths:
+            p = projection_matrix(length, width, seed)
+            assert np.array_equal(p, reference[:length])
+            assert not p.flags.writeable
+            assert p.flags.c_contiguous
+
+    def test_store_keeps_one_matrix_per_width_and_seed(self):
+        before = set(_PROJECTIONS)
+        for length in range(1, 301):
             projection_matrix(length, 8, seed=77)
-        assert _build_projection.cache_info().currsize == PROJECTION_CAPACITY
+        assert set(_PROJECTIONS) - before <= {(8, 77)}
+        assert _PROJECTIONS[(8, 77)].shape == (300, 8)
+
+    def test_threads_share_one_key(self):
+        width, seed = 24, 4242
+        lengths = [int(n) for n in np.random.default_rng(5).integers(1, 2000, size=64)]
+        reference = projection_reference(max(lengths), width, seed)
+
+        def requests(thread):
+            order = np.random.default_rng(thread).permutation(lengths)
+            return [(n, projection_matrix(int(n), width, seed)) for n in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads' check-then-store
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                batches = list(pool.map(requests, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        results = [pair for batch in batches for pair in batch]
+        assert len(results) == 8 * len(lengths)
+        for length, p in results:
+            assert np.array_equal(p, reference[:length])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -317,6 +366,29 @@ class TestFuse:
             )
             assert np.array_equal(out[b], alone[0])
             assert diags[b] == diag
+
+    @pytest.mark.parametrize("collapse", ["length_one", "proportional_channels"])
+    def test_collapsed_descriptors_match_difference_reference(self, collapse):
+        # Every descriptor is +/- one unit vector, so "equal" rows differ by
+        # rounding only; the gate must score them as the exact formula does.
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            b, c = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+            length = 1 if collapse == "length_one" else int(rng.integers(2, 300))
+
+            def stack():
+                scales = rng.standard_normal((b, c, 1)) * 10.0 ** rng.uniform(-3, 3, (b, c, 1))
+                return scales * rng.standard_normal((b, 1, length))
+
+            fc, ft = stack(), stack()
+            _, diags = fuse_with_diagnostics(BranchPair(f_cross=fc, f_topoa=ft), GateConfig())
+            p = projection_matrix(length, effective_projection_width(64, length), 0)
+            for item, diag in enumerate(diags):
+                xc, xt = (project_and_normalize(f[item], p) for f in (fc, ft))
+                sigma_sq = difference_bandwidth(xc, xt)
+                kc, kt = (np.exp(-difference_sq_dists(x) / (2 * sigma_sq)) for x in (xc, xt))
+                assert diag.sigma_sq == pytest.approx(sigma_sq, rel=1e-12)
+                assert diag.hsic == pytest.approx(trace_form_oracle(kc, kt), rel=1e-10, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,7 @@ __all__ = [
     "SCENARIO_NAMES",
     "TIMING_FIELDS",
     "make_scenario",
+    "check_requests",
     "analytic_hit_rate",
     "run_scenario",
     "emit_report",
@@ -69,6 +70,10 @@ MAX_STRESS_THREADS = 64
 # Reference memory grows about quadratically with the key count (grid
 # sides reach about sqrt(2 * keys)); the cap keeps it to a few hundred MB.
 MAX_STRESS_KEYS = 1024
+# Index requests in one pass (samples x strides x requests_per_stage). The
+# key stream holds one key per request, about 190 bytes each, so the cap
+# keeps it near 200 MB.
+MAX_REQUESTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,23 @@ def make_scenario(
     )
 
 
+def check_requests(scenario: Scenario, stages: StageModel) -> None:
+    """Raise ``ValueError`` if one pass would make more than ``MAX_REQUESTS`` requests."""
+    requests = scenario.sample_count * len(stages.strides) * stages.requests_per_stage
+    if requests > MAX_REQUESTS:
+        raise ValueError(
+            f"samples * strides * requests_per_stage is {requests} requests, "
+            f"over the budget of {MAX_REQUESTS}"
+        )
+
+
 def key_stream(scenario: Scenario, stages: StageModel) -> list[list[CacheKey]]:
-    """Per-sample cache keys requested during one pass over the stream."""
+    """Per-sample cache keys requested during one pass over the stream.
+
+    Raises:
+        ValueError: over ``MAX_REQUESTS`` requests, before any key is built.
+    """
+    check_requests(scenario, stages)
     stream = []
     for side in scenario.external_sides():
         sample_keys = []
@@ -394,7 +414,7 @@ def run_cache_stress(
         raise ValueError(f"threads must be <= {MAX_STRESS_THREADS}, got {threads}")
     if keys > MAX_STRESS_KEYS:
         raise ValueError(f"keys must be <= {MAX_STRESS_KEYS}, got {keys}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & 0xFFFFFFFF)
     side_max = max(12, int((2 * keys) ** 0.5) + 2)  # keep the draw space ample
     reference: dict[CacheKey, IndexPair] = {}
     while len(reference) < keys:

@@ -157,6 +157,7 @@ def _scenario_and_stages(
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     scenario, stages = _scenario_and_stages(args, seed=_resolve_seed(args))
+    bench.check_requests(scenario, stages)  # before external_sides() lists every sample
     # strides[0] is the smallest stride, so its stage is the longest.
     largest = stages.internal_shape(max(scenario.external_sides()), stages.strides[0]).length
     _check_cells("batch * channels * largest stage length", args.batch * args.channels * largest)

@@ -57,10 +57,10 @@ class GridShape:
 class IndexPair:
     """Four forward scan orders and their inverses for one grid shape.
 
-    ``forward`` rows are, for the diagonal family: base diagonal, base
-    anti-diagonal, and the full-sequence reversals of those two; for the
-    axis-aligned family: row-major identity, column-major order, and
-    their full-sequence reversals. ``inverse`` satisfies the
+    ``forward`` rows 0 and 1 are the base diagonal and anti-diagonal
+    (diagonal family) or row- and column-major order (axis-aligned
+    family); rows 2 and 3 must be their full-sequence reversals,
+    ``forward[2:] == forward[:2, ::-1]``. ``inverse`` satisfies the
     scatter identity ``inverse[k, forward[k, j]] == j`` exactly, so
     gathering a vector by a forward row and re-gathering by the matching
     inverse row restores it bit-for-bit.
@@ -78,6 +78,8 @@ class IndexPair:
             arr = getattr(self, name)
             if arr.shape != expected:
                 raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
+        if not np.array_equal(self.forward[2:], self.forward[:2, ::-1]):
+            raise ValueError("forward rows 2 and 3 must be the reversals of rows 0 and 1")
         self.forward.setflags(write=False)
         self.inverse.setflags(write=False)
 
@@ -126,12 +128,14 @@ def build_base_antidiagonal(shape: GridShape) -> np.ndarray:
     return _diagonal_order(shape, mirror_columns=True)
 
 
-def _invert_rows(forward: np.ndarray) -> np.ndarray:
+def _with_reversals(first: np.ndarray, second: np.ndarray, shape: GridShape) -> IndexPair:
+    """Index pair with forward rows [first, second, first reversed, second reversed]."""
+    forward = np.stack([first, second, first[::-1], second[::-1]])
     inverse = np.empty_like(forward)
-    positions = np.arange(forward.shape[1], dtype=np.int64)
-    for k in range(forward.shape[0]):
+    positions = np.arange(shape.length, dtype=np.int64)
+    for k in range(4):
         inverse[k, forward[k]] = positions
-    return inverse
+    return IndexPair(forward=forward, inverse=inverse, shape=shape)
 
 
 def build_topoa_indices(shape: GridShape) -> IndexPair:
@@ -141,10 +145,7 @@ def build_topoa_indices(shape: GridShape) -> IndexPair:
     anti-diagonal]. The reversals flip the completed length-L sequences,
     not the individual segments.
     """
-    diag = build_base_diagonal(shape)
-    anti = build_base_antidiagonal(shape)
-    forward = np.stack([diag, anti, diag[::-1], anti[::-1]])
-    return IndexPair(forward=forward, inverse=_invert_rows(forward), shape=shape)
+    return _with_reversals(build_base_diagonal(shape), build_base_antidiagonal(shape), shape)
 
 
 def build_cross_indices(shape: GridShape) -> IndexPair:
@@ -157,8 +158,7 @@ def build_cross_indices(shape: GridShape) -> IndexPair:
     h, w = shape.height, shape.width
     row_major = np.arange(shape.length, dtype=np.int64)
     col_major = row_major.reshape(h, w).T.ravel()
-    forward = np.stack([row_major, col_major, row_major[::-1], col_major[::-1]])
-    return IndexPair(forward=forward, inverse=_invert_rows(forward), shape=shape)
+    return _with_reversals(row_major, col_major, shape)
 
 
 def adjacent_step_distances(order: np.ndarray, shape: GridShape) -> np.ndarray:

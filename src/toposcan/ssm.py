@@ -7,8 +7,8 @@ The recurrence is the discretized diagonal linear system
 
 with zero-order-hold discretization a_bar = exp(delta * a) and
 b_bar = (exp(delta * a) - 1) / a * b. ``multi_direction_scan`` runs it
-along all four rows of an index pair: gather by the forward row, scan,
-scatter back by the inverse row, and sum the four restored maps.
+along all four rows of an index pair as the forward and backward scans of
+rows 0 and 1, and sums the four restored maps as (r0 + r2) + (r1 + r3).
 
 The scan is evaluated in chunks of ``CHUNK`` steps, the block
 decomposition of Mamba-2's state-space duality (Dao & Gu, 2024) applied
@@ -240,12 +240,13 @@ def multi_direction_scan(
     indices: IndexPair,
     params: SsmParams,
 ) -> FeatureMap:
-    """Gather, scan, and scatter along all four directions, then sum.
+    """Scan along all four directions and sum the restored maps.
 
-    For each direction k the channels are gathered by ``forward[k]``,
-    scanned independently per (batch, channel), and scattered back to
-    raster order by ``inverse[k]``. The four restored maps are summed in
-    the fixed order k = 0, 1, 2, 3, so results are reproducible.
+    Rows 2 and 3 reverse rows 0 and 1, so the channels are gathered once
+    by ``forward[:2]``, each base sequence g is scanned both ways as
+    ``scan(g) + scan(g[::-1])[::-1]``, and each sum is scattered back to
+    raster order once by its inverse row. The restored maps are summed in
+    the fixed order (r0 + r2) + (r1 + r3), so results are reproducible.
 
     Raises:
         ValueError: if ``indices.shape`` does not match the feature map.
@@ -254,10 +255,7 @@ def multi_direction_scan(
         raise ValueError(
             f"index shape {indices.shape} does not match feature map shape {x.shape}"
         )
-    gathered = x.data[..., indices.forward]  # (B, C, 4, L)
-    scanned = _scan_last_axis(gathered, params)
-    merged = None
-    for k in range(4):
-        restored = scanned[:, :, k, :][..., indices.inverse[k]]
-        merged = restored if merged is None else merged + restored
+    g = x.data[..., indices.forward[:2]]  # (B, C, 2, L)
+    both = _scan_last_axis(g, params) + _scan_last_axis(g[..., ::-1], params)[..., ::-1]
+    merged = both[..., 0, indices.inverse[0]] + both[..., 1, indices.inverse[1]]
     return FeatureMap(data=merged, shape=x.shape)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toposcan.bench import MAX_REQUESTS
 from toposcan.cli import MAX_CELLS, main
 from toposcan.mask_io import write_mask_pbm, write_mask_raw
 
@@ -103,6 +104,25 @@ class TestBench:
         assert code == 0
         assert json.loads(out)["analytic_hit_rate_pct"] == 99.0
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--samples", "10000000"),
+            # Four default strides: one sample past the budget.
+            ("--samples", str(MAX_REQUESTS // 4 + 1)),
+            ("--samples", "2", "--requests-per-stage", str(MAX_REQUESTS)),
+        ],
+    )
+    def test_request_stream_over_budget_reports_error(self, capsys, command, flags):
+        code, out, err = run_cli(capsys, "bench", command, "--scenario", "unique", *flags)
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ValueError"
+        assert f"over the budget of {MAX_REQUESTS}" in payload["message"]
+
 
 class TestTopoReport:
     def test_report_over_manifest(self, capsys, tmp_path):
@@ -177,6 +197,14 @@ class TestCacheStress:
         summary = json.loads(out)
         assert summary["violations"] == 0
         assert summary["requests"] == 80
+
+    def test_negative_seed_is_masked_like_other_commands(self, capsys):
+        # One thread keeps the hit/miss counts deterministic.
+        args = ("cache", "stress", "--threads", "1", "--keys", "6", "--iters", "40")
+        code, out, err = run_cli(capsys, *args, "--seed", "-5")
+        assert (code, err) == (0, "")
+        _, masked, _ = run_cli(capsys, *args, "--seed", str(-5 & 0xFFFFFFFF))
+        assert json.loads(out) == json.loads(masked)
 
     def test_thread_count_above_cap_reports_error(self, capsys):
         code, out, err = run_cli(capsys, "cache", "stress", "--threads", "65", "--iters", "1")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from toposcan.scan_order import (
     GridShape,
+    IndexPair,
     adjacent_step_distances,
     build_base_antidiagonal,
     build_base_diagonal,
@@ -164,6 +165,17 @@ class TestValidation:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             adjacent_step_distances([0, 1, 2], GridShape(2, 2))
+
+    @pytest.mark.parametrize("tail", [[3, 2], [0, 1], [2, 0]])
+    def test_index_pair_rejects_rows_that_are_not_reversals(self, tail):
+        # Rows 2 and 3 must reverse rows 0 and 1: here they are swapped,
+        # unreversed, or half right. argsort inverts each row exactly.
+        shape = GridShape(3, 4)
+        good = build_topoa_indices(shape)
+        forward = good.forward[[0, 1, *tail]]
+        inverse = np.argsort(forward, axis=1)
+        with pytest.raises(ValueError, match="reversals"):
+            IndexPair(forward=forward, inverse=inverse, shape=shape)
 
     @pytest.mark.parametrize("height,width", [(0, 3), (3, 0), (-1, 2)])
     def test_rejects_bad_shapes(self, height, width):

@@ -226,9 +226,10 @@ class TestMultiDirectionScan:
         for b in range(fm.batch):
             for c in range(fm.channels):
                 acc = None
-                for k in range(4):
-                    gathered = fm.data[b, c, indices.forward[k]]
-                    restored = scan_sequence(gathered, params)[indices.inverse[k]]
+                for k in range(2):
+                    g = fm.data[b, c, indices.forward[k]]
+                    both = scan_sequence(g, params) + scan_sequence(g[::-1], params)[::-1]
+                    restored = both[indices.inverse[k]]
                     acc = restored if acc is None else acc + restored
                 assert np.array_equal(out.data[b, c], acc)
 
@@ -243,11 +244,37 @@ class TestMultiDirectionScan:
         for b in range(fm.batch):
             for c in range(fm.channels):
                 acc = None
-                for k in range(4):
-                    gathered = fm.data[b, c, indices.forward[k]]
-                    restored = scan_sequence(gathered, params)[indices.inverse[k]]
+                for k in range(2):
+                    g = fm.data[b, c, indices.forward[k]]
+                    both = scan_sequence(g, params) + scan_sequence(g[::-1], params)[::-1]
+                    restored = both[indices.inverse[k]]
                     acc = restored if acc is None else acc + restored
                 assert np.array_equal(out.data[b, c], acc)
+
+    def test_matches_four_row_definition(self):
+        # The definition: gather, scan and scatter each of the four rows,
+        # then sum. The implementation's backward scans of rows 0 and 1
+        # sum in another order, so it agrees to rounding, not bitwise.
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            shape = GridShape(int(rng.integers(1, 13)), int(rng.integers(1, 25)))
+            params = random_params(rng, int(rng.integers(1, 9)))
+            fm = FeatureMap(
+                data=rng.standard_normal((int(rng.integers(1, 3)), 2, shape.length)),
+                shape=shape,
+            )
+            for indices in (build_topoa_indices(shape), build_cross_indices(shape)):
+                out = multi_direction_scan(fm, indices, params)
+                for b in range(fm.batch):
+                    for c in range(fm.channels):
+                        ref = sum(
+                            scan_sequence(fm.data[b, c, indices.forward[k]], params)[
+                                indices.inverse[k]
+                            ]
+                            for k in range(4)
+                        )
+                        atol = 1e-14 * np.abs(ref).max()
+                        np.testing.assert_allclose(out.data[b, c], ref, rtol=0, atol=atol)
 
     def test_passthrough_is_bit_exact_on_padded_chunks(self):
         rng = np.random.default_rng(29)

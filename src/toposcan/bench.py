@@ -160,14 +160,15 @@ def make_scenario(
     )
 
 
-def check_requests(scenario: Scenario, stages: StageModel) -> None:
-    """Raise ``ValueError`` if one pass would make more than ``MAX_REQUESTS`` requests."""
+def check_requests(scenario: Scenario, stages: StageModel) -> int:
+    """Index requests in one pass; raise ``ValueError`` if over ``MAX_REQUESTS``."""
     requests = scenario.sample_count * len(stages.strides) * stages.requests_per_stage
     if requests > MAX_REQUESTS:
         raise ValueError(
             f"samples * strides * requests_per_stage is {requests} requests, "
             f"over the budget of {MAX_REQUESTS}"
         )
+    return requests
 
 
 def key_stream(scenario: Scenario, stages: StageModel) -> list[list[CacheKey]]:
@@ -189,14 +190,14 @@ def key_stream(scenario: Scenario, stages: StageModel) -> list[list[CacheKey]]:
 
 
 def analytic_hit_rate(scenario: Scenario, stages: StageModel) -> float:
-    """Hit-rate percentage under unbounded capacity, by key enumeration.
+    """Hit-rate percentage under unbounded capacity, from the distinct sides.
 
-    Every unique internal-resolution key misses exactly once, so the
-    rate is 100 * (total - unique) / total without running the pipeline.
+    Each distinct stage shape misses once: a square of ceil(side / stride), as
+    in ``StageModel.internal_shape``, counted once across strides (256/8 = 512/16).
     """
-    keys = [key for sample in key_stream(scenario, stages) for key in sample]
-    total = len(keys)
-    unique = len(set(keys))
+    total = check_requests(scenario, stages)
+    sides = set(scenario.external_sides())
+    unique = len({-(-side // stride) for side in sides for stride in stages.strides})
     return 100.0 * (total - unique) / total
 
 
@@ -431,12 +432,9 @@ def run_cache_stress(
         violations = 0
         for _ in range(iters):
             key = pool[int(wrng.integers(0, len(pool)))]
-            pair = cache.get_or_build(key)
-            ref = reference[key]
-            if not (
-                np.array_equal(pair.forward, ref.forward)
-                and np.array_equal(pair.inverse, ref.inverse)
-            ):
+            pair, ref = cache.get_or_build(key), reference[key]
+            same = np.array_equal(pair.base, ref.base)
+            if not (same and np.array_equal(pair.base_inverse, ref.base_inverse)):
                 violations += 1
         return violations
 

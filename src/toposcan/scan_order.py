@@ -9,13 +9,13 @@ row-major (cell (i, j) gets index i*W + j):
 * the axis-aligned family: row-major, column-major, and their reversals,
   the classic four-direction serialization of visual state-space models.
 
-Each family exposes a 4-by-L forward index matrix together with the
-inverse matrix that scatters a scanned sequence back to raster order.
+Each family is stored as two base orders and their inverses; the 4-by-L
+matrices of the four directions (base orders, then reversals) are derived.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,35 +53,56 @@ class GridShape:
         return self.height * self.width
 
 
+def _inverse_rows(orders: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of each row of ``orders``, an int64 ``shape`` array of permutations."""
+    if orders.dtype != np.int64 or orders.shape != shape:
+        raise ValueError(f"orders must be an int64 array of shape {shape}")
+    if not 0 <= orders.min() <= orders.max() < shape[-1]:
+        raise ValueError(f"orders hold entries outside 0 .. {shape[-1] - 1}")
+    inverse = np.full_like(orders, -1)  # a repeated index leaves a -1 behind
+    np.put_along_axis(inverse, orders, np.arange(shape[-1]), axis=-1)
+    if inverse.min() < 0:
+        raise ValueError(f"orders must be permutations of 0 .. {shape[-1] - 1}")
+    return inverse
+
+
 @dataclass(frozen=True)
 class IndexPair:
-    """Four forward scan orders and their inverses for one grid shape.
+    """Two base scan orders and their inverses for one grid shape.
 
-    ``forward`` rows 0 and 1 are the base diagonal and anti-diagonal
-    (diagonal family) or row- and column-major order (axis-aligned
-    family); rows 2 and 3 must be their full-sequence reversals,
-    ``forward[2:] == forward[:2, ::-1]``. ``inverse`` satisfies the
-    scatter identity ``inverse[k, forward[k, j]] == j`` exactly, so
-    gathering a vector by a forward row and re-gathering by the matching
-    inverse row restores it bit-for-bit.
+    ``base`` rows are the diagonal and anti-diagonal (diagonal family) or
+    row- and column-major order (axis-aligned family), and must permute
+    0 .. L-1. ``base_inverse`` is computed from them and undoes a gather
+    by a base row bit-for-bit: ``base_inverse[k, base[k, j]] == j``.
+    Both are int64 (2, L) and read-only.
 
-    Arrays are int64, shaped (4, L), and frozen read-only.
+    ``forward`` and ``inverse`` derive the (4, L) matrices of the four
+    directions on each call; rows 2 and 3 reverse rows 0 and 1.
     """
 
-    forward: np.ndarray
-    inverse: np.ndarray
+    base: np.ndarray
     shape: GridShape
+    base_inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        expected = (4, self.shape.length)
-        for name in ("forward", "inverse"):
-            arr = getattr(self, name)
-            if arr.shape != expected:
-                raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
-        if not np.array_equal(self.forward[2:], self.forward[:2, ::-1]):
-            raise ValueError("forward rows 2 and 3 must be the reversals of rows 0 and 1")
-        self.forward.setflags(write=False)
-        self.inverse.setflags(write=False)
+        inverse = _inverse_rows(self.base, (2, self.shape.length))
+        self.base.setflags(write=False)
+        inverse.setflags(write=False)
+        object.__setattr__(self, "base_inverse", inverse)
+
+    @property
+    def forward(self) -> np.ndarray:
+        """Read-only (4, L) scan orders: the base rows, then each reversed."""
+        out = np.concatenate([self.base, self.base[:, ::-1]])
+        out.setflags(write=False)
+        return out
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """Read-only (4, L) inverses of ``forward``, row for row."""
+        out = np.concatenate([self.base_inverse, self.shape.length - 1 - self.base_inverse])
+        out.setflags(write=False)
+        return out
 
 
 def _diagonal_order(shape: GridShape, mirror_columns: bool) -> np.ndarray:
@@ -128,37 +149,26 @@ def build_base_antidiagonal(shape: GridShape) -> np.ndarray:
     return _diagonal_order(shape, mirror_columns=True)
 
 
-def _with_reversals(first: np.ndarray, second: np.ndarray, shape: GridShape) -> IndexPair:
-    """Index pair with forward rows [first, second, first reversed, second reversed]."""
-    forward = np.stack([first, second, first[::-1], second[::-1]])
-    inverse = np.empty_like(forward)
-    positions = np.arange(shape.length, dtype=np.int64)
-    for k in range(4):
-        inverse[k, forward[k]] = positions
-    return IndexPair(forward=forward, inverse=inverse, shape=shape)
-
-
 def build_topoa_indices(shape: GridShape) -> IndexPair:
-    """Build the diagonal-family forward/inverse index pair for a grid.
+    """Build the diagonal-family index pair for a grid.
 
-    Forward rows: [diagonal, anti-diagonal, reversed diagonal, reversed
-    anti-diagonal]. The reversals flip the completed length-L sequences,
-    not the individual segments.
+    Base rows: [diagonal, anti-diagonal]. The derived reversals flip the
+    completed length-L sequences, not the individual segments.
     """
-    return _with_reversals(build_base_diagonal(shape), build_base_antidiagonal(shape), shape)
+    return IndexPair(np.stack([build_base_diagonal(shape), build_base_antidiagonal(shape)]), shape)
 
 
 def build_cross_indices(shape: GridShape) -> IndexPair:
-    """Build the axis-aligned forward/inverse index pair for a grid.
+    """Build the axis-aligned index pair for a grid.
 
-    Forward rows: [row-major identity, column-major, reversed row-major,
-    reversed column-major]. Column-major visits (i, j) by increasing j
-    then i, emitting the row-major flat index i*W + j.
+    Base rows: [row-major identity, column-major]. Column-major visits
+    (i, j) by increasing j then i, emitting the row-major flat index
+    i*W + j.
     """
     h, w = shape.height, shape.width
     row_major = np.arange(shape.length, dtype=np.int64)
     col_major = row_major.reshape(h, w).T.ravel()
-    return _with_reversals(row_major, col_major, shape)
+    return IndexPair(np.stack([row_major, col_major]), shape)
 
 
 def adjacent_step_distances(order: np.ndarray, shape: GridShape) -> np.ndarray:
@@ -175,14 +185,6 @@ def adjacent_step_distances(order: np.ndarray, shape: GridShape) -> np.ndarray:
         ValueError: if ``order`` is not a permutation of 0 .. L-1.
     """
     order = np.asarray(order, dtype=np.int64)
-    if order.ndim != 1 or order.shape[0] != shape.length:
-        raise ValueError(f"order must be a flat sequence of length {shape.length}")
-    seen = np.zeros(shape.length, dtype=bool)
-    valid = (order >= 0) & (order < shape.length)
-    if not valid.all():
-        raise ValueError("order contains out-of-range indices")
-    seen[order] = True
-    if not seen.all():
-        raise ValueError("order is not a permutation: some cells are missing")
+    _inverse_rows(order, (shape.length,))
     i, j = np.divmod(order, shape.width)
     return np.hypot(np.diff(i).astype(np.float64), np.diff(j).astype(np.float64))

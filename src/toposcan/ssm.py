@@ -7,8 +7,8 @@ The recurrence is the discretized diagonal linear system
 
 with zero-order-hold discretization a_bar = exp(delta * a) and
 b_bar = (exp(delta * a) - 1) / a * b. ``multi_direction_scan`` runs it
-along all four rows of an index pair as the forward and backward scans of
-rows 0 and 1, and sums the four restored maps as (r0 + r2) + (r1 + r3).
+along four directions as the forward and backward scans of an index
+pair's two base orders, and sums the restored maps as (r0 + r2) + (r1 + r3).
 
 The scan is evaluated in chunks of ``CHUNK`` steps, the block
 decomposition of Mamba-2's state-space duality (Dao & Gu, 2024) applied
@@ -242,11 +242,11 @@ def multi_direction_scan(
 ) -> FeatureMap:
     """Scan along all four directions and sum the restored maps.
 
-    Rows 2 and 3 reverse rows 0 and 1, so the channels are gathered once
-    by ``forward[:2]``, each base sequence g is scanned both ways as
-    ``scan(g) + scan(g[::-1])[::-1]``, and each sum is scattered back to
-    raster order once by its inverse row. The restored maps are summed in
-    the fixed order (r0 + r2) + (r1 + r3), so results are reproducible.
+    Directions 2 and 3 reverse base orders 0 and 1, so the channels are
+    gathered once by ``indices.base``, each base sequence g is scanned
+    both ways as ``scan(g) + scan(g[::-1])[::-1]``, and each sum is
+    scattered back to raster order once by its ``base_inverse`` row. The
+    restored maps are summed in the fixed order (r0 + r2) + (r1 + r3).
 
     Raises:
         ValueError: if ``indices.shape`` does not match the feature map.
@@ -255,7 +255,7 @@ def multi_direction_scan(
         raise ValueError(
             f"index shape {indices.shape} does not match feature map shape {x.shape}"
         )
-    g = x.data[..., indices.forward[:2]]  # (B, C, 2, L)
+    g = x.data[..., indices.base]  # (B, C, 2, L)
     both = _scan_last_axis(g, params) + _scan_last_axis(g[..., ::-1], params)[..., ::-1]
-    merged = both[..., 0, indices.inverse[0]] + both[..., 1, indices.inverse[1]]
+    merged = both[..., 0, indices.base_inverse[0]] + both[..., 1, indices.base_inverse[1]]
     return FeatureMap(data=merged, shape=x.shape)

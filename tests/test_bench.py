@@ -80,6 +80,29 @@ class TestAnalyticOracle:
         assert len(keys) == 60
         assert analytic_hit_rate(scenario, stages) == 100.0 * (60 - 2) / 60
 
+    @pytest.mark.parametrize("requests_per_stage", [1, 3])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(name="fixed", sample_count=7),
+            # 256/8 and 512/16 are both 32: shapes coincide across strides.
+            Scenario(name="two_scale", sample_count=9),
+            Scenario(name="multi_scale", sample_count=23),
+            Scenario(name="unique_per_sample", sample_count=300),
+        ],
+        ids=lambda scenario: scenario.name,
+    )
+    def test_matches_key_enumeration(self, scenario, requests_per_stage):
+        stages = StageModel(requests_per_stage=requests_per_stage)
+        keys = [k for sample in key_stream(scenario, stages) for k in sample]
+        enumerated = 100.0 * (len(keys) - len(set(keys))) / len(keys)
+        assert analytic_hit_rate(scenario, stages) == enumerated
+
+    def test_shapes_shared_across_strides_count_once(self):
+        # 256 -> 64,32,16,8 and 512 -> 128,64,32,16: 5 distinct, not 8.
+        scenario = Scenario(name="two_scale", sample_count=2, sizes=(256, 512))
+        assert analytic_hit_rate(scenario, StageModel()) == 100.0 * (8 - 5) / 8
+
     def test_unique_external_sizes_still_collide_internally(self):
         # ceil((256 + 2i) / stride) repeats across consecutive samples at
         # large strides, so reuse survives fully unique external sizes.

@@ -1,5 +1,6 @@
 """Scan-order construction: known vectors, permutations, inverses, locality."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toposcan.cli import main
 from toposcan.scan_order import (
     GridShape,
     IndexPair,
@@ -26,6 +28,18 @@ shapes = st.builds(
 
 def coords(order, shape):
     return np.divmod(np.asarray(order), shape.width)
+
+
+def four_row_reference(pair):
+    """Four-row reference: stack each base row and its reversal, then invert each row."""
+    forward = np.stack([*pair.base, *pair.base[:, ::-1]])
+    inverse = np.empty_like(forward)
+    for k in range(4):
+        inverse[k, forward[k]] = np.arange(pair.shape.length)
+    return forward, inverse
+
+
+BUILDERS = [build_topoa_indices, build_cross_indices]
 
 
 class TestKnownVectors:
@@ -125,6 +139,55 @@ class TestStructure:
             pair.forward[0, 0] = 7
 
 
+class TestDerivedLayout:
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_derived_rows_match_four_row_reference(self, build):
+        for h in range(1, 13):
+            for w in range(1, 13):
+                pair = build(GridShape(h, w))
+                forward, inverse = four_row_reference(pair)
+                assert np.array_equal(pair.forward, forward), (h, w)
+                assert np.array_equal(pair.inverse, inverse), (h, w)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_stores_two_frozen_int64_rows(self, build):
+        shape = GridShape(5, 7)
+        pair = build(shape)
+        stored = {k: v for k, v in vars(pair).items() if isinstance(v, np.ndarray)}
+        assert set(stored) == {"base", "base_inverse"}
+        for name, arr in stored.items():
+            assert arr.dtype == np.int64, name
+            assert arr.shape == (2, shape.length), name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_derived_arrays_are_read_only(self, build):
+        pair = build(GridShape(3, 5))
+        for name in ("forward", "inverse"):
+            arr = getattr(pair, name)
+            assert arr.dtype == np.int64 and arr.shape == (4, 15), name
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[2, 0] = 1
+
+    def test_base_is_kept_and_inverse_computed(self):
+        base = np.stack([np.arange(6), np.arange(6)[::-1]])
+        pair = IndexPair(base, GridShape(2, 3))
+        assert pair.base is base
+        assert pair.base_inverse.tolist() == [list(range(6)), list(range(6))[::-1]]
+
+    @pytest.mark.parametrize("kind", ["topoa", "cross"])
+    @pytest.mark.parametrize("h,w", [(1, 1), (2, 3), (9, 15)])
+    def test_scan_dump_matches_four_row_reference(self, capsys, kind, h, w):
+        build = build_topoa_indices if kind == "topoa" else build_cross_indices
+        forward, inverse = four_row_reference(build(GridShape(h, w)))
+        payload = {"h": h, "w": w, "forward": forward.tolist(), "inverse": inverse.tolist()}
+        assert main(["scan", "dump", "--h", str(h), "--w", str(w), "--kind", kind]) == 0
+        assert capsys.readouterr().out == json.dumps(payload) + "\n"
+
+
 class TestLocality:
     @given(shapes)
     @settings(max_examples=60, deadline=None)
@@ -166,16 +229,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             adjacent_step_distances([0, 1, 2], GridShape(2, 2))
 
-    @pytest.mark.parametrize("tail", [[3, 2], [0, 1], [2, 0]])
-    def test_index_pair_rejects_rows_that_are_not_reversals(self, tail):
-        # Rows 2 and 3 must reverse rows 0 and 1: here they are swapped,
-        # unreversed, or half right. argsort inverts each row exactly.
-        shape = GridShape(3, 4)
-        good = build_topoa_indices(shape)
-        forward = good.forward[[0, 1, *tail]]
-        inverse = np.argsort(forward, axis=1)
-        with pytest.raises(ValueError, match="reversals"):
-            IndexPair(forward=forward, inverse=inverse, shape=shape)
+    @pytest.mark.parametrize(
+        "base",
+        [
+            np.stack([np.arange(12)] * 3),  # three rows
+            np.arange(12)[None, :],  # one row
+            np.stack([np.arange(12)[:11]] * 2),  # rows one short
+            np.stack([np.arange(12)] * 2).astype(np.int32),  # not int64
+            np.stack([np.arange(12)] * 2).astype(np.float64),  # not integer
+            np.stack([np.arange(12), np.arange(1, 13)]),  # 12 is out of range
+            np.stack([np.arange(12), np.arange(-1, 11)]),  # -1 would wrap
+            np.stack([np.arange(12), np.r_[0, 0, np.arange(2, 12)]]),  # repeat, 1 missing
+            np.stack([np.r_[np.arange(11), 10], np.arange(12)]),  # repeat, 11 missing
+        ],
+        ids=[
+            "three-rows", "one-row", "short-rows", "int32", "float", "too-large",
+            "negative", "repeat-first", "repeat-last",
+        ],
+    )
+    def test_index_pair_rejects_malformed_base(self, base):
+        with pytest.raises(ValueError):
+            IndexPair(base, GridShape(3, 4))
 
     @pytest.mark.parametrize("height,width", [(0, 3), (3, 0), (-1, 2)])
     def test_rejects_bad_shapes(self, height, width):

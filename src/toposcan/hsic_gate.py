@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .scan_order import _require_int
+
 __all__ = [
     "GateConfig",
     "BranchPair",
@@ -59,6 +61,8 @@ class GateConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("d_proj", "seed"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
         if self.d_proj < 1:
             raise ValueError(f"d_proj must be >= 1, got {self.d_proj}")
         if not math.isfinite(self.alpha):

@@ -9,13 +9,13 @@ row-major (cell (i, j) gets index i*W + j):
 * the axis-aligned family: row-major, column-major, and their reversals,
   the classic four-direction serialization of visual state-space models.
 
-Each family is stored as two base orders and their inverses; the 4-by-L
-matrices of the four directions (base orders, then reversals) are derived.
+Each family is stored as its two base orders; the 4-by-L matrices of the
+four directions (base orders, then reversals) and their inverses are derived.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+def _require_int(name: str, value: object) -> int:
+    """``value`` as an ``int`` if it is an int or NumPy integer (never a bool)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridShape:
     """Dimensions of a 2D grid: ``height`` rows by ``width`` columns."""
@@ -39,13 +46,10 @@ class GridShape:
 
     def __post_init__(self) -> None:
         for name in ("height", "width"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = _require_int(name, getattr(self, name))
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        object.__setattr__(self, "height", int(self.height))
-        object.__setattr__(self, "width", int(self.width))
+            object.__setattr__(self, name, value)
 
     @property
     def length(self) -> int:
@@ -66,15 +70,14 @@ def _inverse_rows(orders: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return inverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexPair:
-    """Two base scan orders and their inverses for one grid shape.
+    """Two base scan orders for one grid shape.
 
     ``base`` rows are the diagonal and anti-diagonal (diagonal family) or
-    row- and column-major order (axis-aligned family), and must permute
-    0 .. L-1. ``base_inverse`` is computed from them and undoes a gather
-    by a base row bit-for-bit: ``base_inverse[k, base[k, j]] == j``.
-    Both are int64 (2, L) and read-only.
+    row- and column-major order (axis-aligned family), must permute
+    0 .. L-1, and are the only array stored: int64 (2, L), read-only.
+    Equality is identity, so pairs are hashable.
 
     ``forward`` and ``inverse`` derive the (4, L) matrices of the four
     directions on each call; rows 2 and 3 reverse rows 0 and 1.
@@ -82,13 +85,10 @@ class IndexPair:
 
     base: np.ndarray
     shape: GridShape
-    base_inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        inverse = _inverse_rows(self.base, (2, self.shape.length))
+        _inverse_rows(self.base, (2, self.shape.length))  # the check; the inverse is dropped
         self.base.setflags(write=False)
-        inverse.setflags(write=False)
-        object.__setattr__(self, "base_inverse", inverse)
 
     @property
     def forward(self) -> np.ndarray:
@@ -100,7 +100,8 @@ class IndexPair:
     @property
     def inverse(self) -> np.ndarray:
         """Read-only (4, L) inverses of ``forward``, row for row."""
-        out = np.concatenate([self.base_inverse, self.shape.length - 1 - self.base_inverse])
+        base_inverse = _inverse_rows(self.base, (2, self.shape.length))
+        out = np.concatenate([base_inverse, self.shape.length - 1 - base_inverse])
         out.setflags(write=False)
         return out
 

@@ -8,7 +8,8 @@ The recurrence is the discretized diagonal linear system
 with zero-order-hold discretization a_bar = exp(delta * a) and
 b_bar = (exp(delta * a) - 1) / a * b. ``multi_direction_scan`` runs it
 along four directions as the forward and backward scans of an index
-pair's two base orders, and sums the restored maps as (r0 + r2) + (r1 + r3).
+pair's two base orders, scatters the results back through the same
+orders, and sums the restored maps as (r0 + r2) + (r1 + r3).
 
 The scan is evaluated in chunks of ``CHUNK`` steps, the block
 decomposition of Mamba-2's state-space duality (Dao & Gu, 2024) applied
@@ -74,6 +75,9 @@ class SsmParams:
             object.__setattr__(self, name, arr)
         if not (self.a.shape == self.b.shape == self.c.shape):
             raise ValueError("a, b, c must have identical shapes")
+        scalars = np.asarray([self.d, self.delta], dtype=np.float64)
+        if not all(np.isfinite(v).all() for v in (self.a, self.b, self.c, scalars)):
+            raise ValueError("a, b, c, d and delta must be finite")
         if not np.all(self.a < 0):
             raise ValueError("all state-transition coefficients must be strictly negative")
         if not self.delta > 0:
@@ -186,8 +190,6 @@ def discretize(params: SsmParams) -> tuple[np.ndarray, np.ndarray]:
         b_bar = (exp(delta * a) - 1) / a * b. The formula is singular at
         a = 0, which :class:`SsmParams` already excludes.
     """
-    if np.any(params.a == 0):
-        raise ValueError("zero-order hold is singular for a == 0")
     a_bar = np.exp(params.delta * params.a)
     b_bar = (a_bar - 1.0) / params.a * params.b
     return a_bar, b_bar
@@ -245,8 +247,8 @@ def multi_direction_scan(
     Directions 2 and 3 reverse base orders 0 and 1, so the channels are
     gathered once by ``indices.base``, each base sequence g is scanned
     both ways as ``scan(g) + scan(g[::-1])[::-1]``, and each sum is
-    scattered back to raster order once by its ``base_inverse`` row. The
-    restored maps are summed in the fixed order (r0 + r2) + (r1 + r3).
+    scattered back to raster order once through the base row it was
+    gathered by; the restored maps sum in the order (r0 + r2) + (r1 + r3).
 
     Raises:
         ValueError: if ``indices.shape`` does not match the feature map.
@@ -257,5 +259,8 @@ def multi_direction_scan(
         )
     g = x.data[..., indices.base]  # (B, C, 2, L)
     both = _scan_last_axis(g, params) + _scan_last_axis(g[..., ::-1], params)[..., ::-1]
-    merged = both[..., 0, indices.base_inverse[0]] + both[..., 1, indices.base_inverse[1]]
+    merged, rest = np.empty(x.data.shape), np.empty(x.data.shape)  # base rows are permutations
+    merged[..., indices.base[0]] = both[..., 0, :]
+    rest[..., indices.base[1]] = both[..., 1, :]
+    merged += rest
     return FeatureMap(data=merged, shape=x.shape)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from toposcan.bench import (
@@ -57,6 +58,43 @@ class TestScenarios:
             StageModel(strides=(8, 4))
         with pytest.raises(ValueError):
             StageModel(requests_per_stage=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"strides": (4.5, 8)},
+            {"strides": (4, 8.0)},
+            {"strides": (True, 8)},
+            {"requests_per_stage": 1.5},
+            {"requests_per_stage": True},
+            {"requests_per_stage": "2"},
+        ],
+    )
+    def test_stage_model_takes_integers_only(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            StageModel(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sizes": (300.7,)},
+            {"sizes": (256, 512.0)},
+            {"sizes": (False,)},
+            {"sample_count": 2.5},
+            {"sample_count": True},
+            {"sample_count": "10"},
+        ],
+    )
+    def test_scenario_takes_integers_only(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Scenario(name="fixed", **kwargs)
+
+    def test_numpy_integers_become_ints(self):
+        stages = StageModel(strides=(np.int64(4), np.int32(8)), requests_per_stage=np.int64(2))
+        scenario = Scenario(name="fixed", sample_count=np.int64(3), sizes=(np.int16(300),))
+        values = [*stages.strides, stages.requests_per_stage, scenario.sample_count, *scenario.sizes]
+        assert values == [4, 8, 2, 3, 300]
+        assert all(type(v) is int for v in values)
 
 
 class TestAnalyticOracle:

@@ -414,6 +414,26 @@ class TestGateConfig:
         with pytest.raises(ValueError):
             GateConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"d_proj": 100.5},
+            {"d_proj": 64.0},
+            {"d_proj": True},
+            {"seed": 1.5},
+            {"seed": False},
+            {"seed": "3"},
+        ],
+    )
+    def test_takes_integers_only(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GateConfig(**kwargs)
+
+    def test_numpy_integers_become_ints(self):
+        cfg = GateConfig(d_proj=np.int64(32), seed=np.uint32(7))
+        assert (cfg.d_proj, cfg.seed) == (32, 7)
+        assert type(cfg.d_proj) is int and type(cfg.seed) is int
+
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(ValueError):

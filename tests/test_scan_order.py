@@ -150,17 +150,16 @@ class TestDerivedLayout:
                 assert np.array_equal(pair.inverse, inverse), (h, w)
 
     @pytest.mark.parametrize("build", BUILDERS)
-    def test_stores_two_frozen_int64_rows(self, build):
+    def test_stores_only_frozen_int64_base(self, build):
         shape = GridShape(5, 7)
         pair = build(shape)
         stored = {k: v for k, v in vars(pair).items() if isinstance(v, np.ndarray)}
-        assert set(stored) == {"base", "base_inverse"}
-        for name, arr in stored.items():
-            assert arr.dtype == np.int64, name
-            assert arr.shape == (2, shape.length), name
-            assert not arr.flags.writeable, name
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1
+        assert set(stored) == {"base"}
+        assert pair.base.dtype == np.int64
+        assert pair.base.shape == (2, shape.length)
+        assert not pair.base.flags.writeable
+        with pytest.raises(ValueError):
+            pair.base[0, 0] = 1
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_derived_arrays_are_read_only(self, build):
@@ -172,11 +171,18 @@ class TestDerivedLayout:
             with pytest.raises(ValueError):
                 arr[2, 0] = 1
 
-    def test_base_is_kept_and_inverse_computed(self):
+    def test_base_is_kept_as_passed(self):
         base = np.stack([np.arange(6), np.arange(6)[::-1]])
         pair = IndexPair(base, GridShape(2, 3))
         assert pair.base is base
-        assert pair.base_inverse.tolist() == [list(range(6)), list(range(6))[::-1]]
+        assert not base.flags.writeable
+
+    def test_equality_is_identity_and_pairs_hash(self):
+        first = build_topoa_indices(GridShape(3, 3))
+        second = build_topoa_indices(GridShape(3, 3))
+        assert first == first
+        assert first != second
+        assert len({first, second, first}) == 2
 
     @pytest.mark.parametrize("kind", ["topoa", "cross"])
     @pytest.mark.parametrize("h,w", [(1, 1), (2, 3), (9, 15)])

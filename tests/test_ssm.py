@@ -10,6 +10,7 @@ from toposcan.ssm import (
     CHUNK,
     FeatureMap,
     SsmParams,
+    _scan_last_axis,
     default_params,
     discretize,
     multi_direction_scan,
@@ -40,6 +41,14 @@ def step_recurrence(x, params):
         h = a_bar * h + b_bar * value
         y[k] = params.c @ h + params.d * value
     return y
+
+
+def gather_by_inverse_reference(fm, pair, params):
+    """Scan both ways per base row, then restore by gathering through the inverse rows."""
+    g = fm.data[..., pair.base]
+    both = _scan_last_axis(g, params) + _scan_last_axis(g[..., ::-1], params)[..., ::-1]
+    inverse = pair.inverse[:2]
+    return both[..., 0, inverse[0]] + both[..., 1, inverse[1]]
 
 
 def random_params(rng, n):
@@ -80,6 +89,14 @@ class TestDiscretize:
     def test_params_reject_bad_delta(self):
         with pytest.raises(ValueError):
             SsmParams(a=[-1.0], b=[1.0], c=[1.0], d=0.0, delta=0.0)
+
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite(self, name, value):
+        kwargs = {"a": [-1.0, -2.0], "b": [1.0, 1.0], "c": [1.0, 1.0], "d": 0.0, "delta": 0.1}
+        kwargs[name] = [kwargs[name][0], value] if name in ("a", "b", "c") else value
+        with pytest.raises(ValueError):
+            SsmParams(**kwargs)
 
 
 class TestScanSequence:
@@ -275,6 +292,19 @@ class TestMultiDirectionScan:
                         )
                         atol = 1e-14 * np.abs(ref).max()
                         np.testing.assert_allclose(out.data[b, c], ref, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("build", [build_topoa_indices, build_cross_indices])
+    def test_scatter_equals_gather_by_inverse_bitwise(self, build):
+        rng = np.random.default_rng(37)
+        for h in range(1, 13):
+            for w in range(1, 13):
+                shape = GridShape(h, w)
+                pair = build(shape)
+                fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
+                for params in (default_params(), random_params(rng, 3)):
+                    out = multi_direction_scan(fm, pair, params)
+                    ref = gather_by_inverse_reference(fm, pair, params)
+                    assert np.array_equal(out.data, ref), (h, w)
 
     def test_passthrough_is_bit_exact_on_padded_chunks(self):
         rng = np.random.default_rng(29)

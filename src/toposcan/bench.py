@@ -19,6 +19,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -44,7 +45,7 @@ __all__ = [
 
 SCENARIO_NAMES = ("fixed", "two_scale", "multi_scale", "unique_per_sample")
 
-_DEFAULT_SIZES = {
+_MIXTURE_SIDES = {
     "fixed": (512,),
     "two_scale": (256, 512),
     "multi_scale": (256, 320, 384, 448, 512),
@@ -88,6 +89,8 @@ class StageModel:
     requests_per_stage: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strides, Iterable):
+            raise ValueError(f"strides must be a sequence of integers, got {self.strides!r}")
         strides = tuple(_require_int("strides", s) for s in self.strides)
         if not strides:
             raise ValueError("stage model needs at least one stride")
@@ -110,15 +113,15 @@ class StageModel:
 class Scenario:
     """A stream of external image sides.
 
-    Mixture scenarios cycle deterministically through ``sizes`` (exact
-    proportions, all scales guaranteed present); the unique-per-sample
+    Mixture scenarios cycle deterministically through their sides (fixed:
+    512; two_scale: 256, 512; multi_scale: 256 to 512 in steps of 64), so
+    proportions are exact and every scale is present; the unique-per-sample
     scenario follows side_i = 256 + 2i. The seed drives synthetic
     feature data only, never the size stream.
     """
 
     name: str
     sample_count: int = 100
-    sizes: tuple[int, ...] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -130,36 +133,24 @@ class Scenario:
         if sample_count < 1:
             raise ValueError("sample_count must be >= 1")
         object.__setattr__(self, "sample_count", sample_count)
-        sizes = self.sizes
-        if sizes is None and self.name != "unique_per_sample":
-            sizes = _DEFAULT_SIZES[self.name]
-        if sizes is not None:
-            sizes = tuple(_require_int("sizes", s) for s in sizes)
-            if not sizes or any(s < 1 for s in sizes):
-                raise ValueError(f"sizes must be positive, got {sizes}")
-        object.__setattr__(self, "sizes", sizes)
 
     def external_sides(self) -> list[int]:
         if self.name == "unique_per_sample":
             return [256 + 2 * i for i in range(self.sample_count)]
-        assert self.sizes is not None
-        return [self.sizes[i % len(self.sizes)] for i in range(self.sample_count)]
+        sides = _MIXTURE_SIDES[self.name]
+        return [sides[i % len(sides)] for i in range(self.sample_count)]
 
 
-def make_scenario(
-    name: str,
-    sample_count: int = 100,
-    sizes: Sequence[int] | None = None,
-    seed: int = 0,
-) -> Scenario:
+def make_scenario(name: str, sample_count: int = 100, seed: int = 0) -> Scenario:
     """Build a scenario from a CLI-style name: any case, dashes for
     underscores, and ``unique`` for ``unique_per_sample``.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"scenario name must be a string, got {name!r}")
     canonical = name.strip().lower().replace("-", "_")
     return Scenario(
         name="unique_per_sample" if canonical == "unique" else canonical,
         sample_count=sample_count,
-        sizes=None if sizes is None else tuple(sizes),
         seed=seed,
     )
 
@@ -293,26 +284,33 @@ def run_scenario(
     scenario: Scenario,
     stages: StageModel | None = None,
     cache_capacity: int = 64,
-    params: SsmParams | None = None,
     batch: int = 1,
     channels: int = 4,
-    warmup: int = WARMUP_FORWARDS,
 ) -> BenchReport:
     """Run the cold/warm measurement protocol for one scenario.
 
-    The cold pass starts from a fresh cache, so its hit rate reflects
-    first-touch misses and matches :func:`analytic_hit_rate` whenever
+    Every forward scans with :func:`~toposcan.ssm.default_params`, and
+    each timed pass follows ``WARMUP_FORWARDS`` untimed forwards. The cold
+    pass starts from a fresh cache, so its hit rate reflects first-touch
+    misses and matches :func:`analytic_hit_rate` whenever
     ``cache_capacity`` is at least the number of unique keys. The warm
     pass reuses the cache primed by the cold pass and replays the
     identical sample stream.
+
+    Raises:
+        ValueError: if ``cache_capacity``, ``batch`` or ``channels`` is not
+            an integer >= 1, or the stream is over ``MAX_REQUESTS``.
     """
     stages = stages if stages is not None else StageModel()
-    params = params if params is not None else default_params()
+    batch, channels = _require_int("batch", batch), _require_int("channels", channels)
+    if batch < 1 or channels < 1:
+        raise ValueError(f"batch and channels must be >= 1, got {batch} and {channels}")
+    params = default_params()
     seed = scenario.seed
     stream = key_stream(scenario, stages)
     n = len(stream)
     unique_keys = len({key for sample in stream for key in sample})
-    warmups = [w % n for w in range(warmup)]
+    warmups = [w % n for w in range(WARMUP_FORWARDS)]
 
     # Timer warm-up against a scratch cache keeps the measured cold pass
     # genuinely cold.
@@ -355,7 +353,7 @@ def run_scenario(
         samples=n,
         strides=stages.strides,
         requests_per_stage=stages.requests_per_stage,
-        capacity=cache_capacity,
+        capacity=cache.capacity,
         seed=seed,
         batch=batch,
         channels=channels,
@@ -409,16 +407,20 @@ def run_cache_stress(
         Summary dict including a ``violations`` count (0 on success).
 
     Raises:
-        ValueError: if a count is below 1, ``threads`` exceeds
+        ValueError: if a count is not an integer >= 1, ``threads`` exceeds
             ``MAX_STRESS_THREADS`` or ``keys`` exceeds ``MAX_STRESS_KEYS``;
             checked before any reference is built or thread starts.
     """
+    threads = _require_int("threads", threads)
+    keys = _require_int("keys", keys)
+    iters = _require_int("iters", iters)
     if threads < 1 or keys < 1 or iters < 1:
         raise ValueError("threads, keys, and iters must all be >= 1")
     if threads > MAX_STRESS_THREADS:
         raise ValueError(f"threads must be <= {MAX_STRESS_THREADS}, got {threads}")
     if keys > MAX_STRESS_KEYS:
         raise ValueError(f"keys must be <= {MAX_STRESS_KEYS}, got {keys}")
+    cache = ScanCache(capacity=capacity if capacity is not None else max(1, keys // 2))
     rng = np.random.default_rng(seed & 0xFFFFFFFF)
     side_max = max(12, int((2 * keys) ** 0.5) + 2)  # keep the draw space ample
     reference: dict[CacheKey, IndexPair] = {}
@@ -429,7 +431,6 @@ def run_cache_stress(
         if key not in reference:
             reference[key] = build_topoa_indices(key.shape)
     pool = list(reference)
-    cache = ScanCache(capacity=capacity if capacity is not None else max(1, keys // 2))
 
     def worker(worker_id: int) -> int:
         wrng = np.random.default_rng([seed & 0xFFFFFFFF, worker_id])

@@ -150,7 +150,9 @@ def project_and_normalize(features: np.ndarray, projection: np.ndarray) -> np.nd
     Returns:
         (..., channels, k) descriptors: rows are (f @ P) / sqrt(L),
         then scaled to unit L2 norm. Rows with norm below 1e-12 are
-        left as zeros instead of being divided.
+        left as zeros instead of being divided. The norm is taken of each
+        row divided by a power of two near its largest magnitude, which is
+        exact, so squaring cannot overflow however large the features are.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.shape[-1] != projection.shape[0]:
@@ -159,9 +161,11 @@ def project_and_normalize(features: np.ndarray, projection: np.ndarray) -> np.nd
             f"{projection.shape[0]}"
         )
     projected = (features @ projection) / np.sqrt(features.shape[-1])
-    norms = np.linalg.norm(projected, axis=-1, keepdims=True)
-    safe = np.where(norms < ZERO_ROW_EPS, 1.0, norms)
-    return np.where(norms < ZERO_ROW_EPS, 0.0, projected / safe)
+    _, exponent = np.frexp(np.max(np.abs(projected), axis=-1, keepdims=True))
+    scaled = np.ldexp(projected, -exponent)
+    scaled_norms = np.linalg.norm(scaled, axis=-1, keepdims=True)
+    zero = np.ldexp(scaled_norms, exponent) < ZERO_ROW_EPS
+    return np.where(zero, 0.0, scaled / np.where(zero, 1.0, scaled_norms))
 
 
 # Squared row distances of (..., C, k) stacks from the Gram identity

@@ -17,7 +17,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .scan_order import GridShape, IndexPair, build_topoa_indices
+from .scan_order import GridShape, IndexPair, _require_int, build_topoa_indices
 
 __all__ = ["CacheKey", "CacheStats", "ScanCache"]
 
@@ -40,8 +40,8 @@ class CacheKey:
         shape = GridShape(self.height, self.width)
         object.__setattr__(self, "height", shape.height)
         object.__setattr__(self, "width", shape.width)
-        if not self.device:
-            raise ValueError("device tag must be a non-empty string")
+        if not isinstance(self.device, str) or not self.device:
+            raise ValueError(f"device tag must be a non-empty string, got {self.device!r}")
 
     @property
     def shape(self) -> GridShape:
@@ -96,6 +96,7 @@ class ScanCache:
         capacity: int = DEFAULT_CAPACITY,
         builder: Callable[[GridShape], IndexPair] = build_topoa_indices,
     ):
+        capacity = _require_int("capacity", capacity)
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self._capacity = capacity

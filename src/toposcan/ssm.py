@@ -167,20 +167,6 @@ class FeatureMap:
     def channels(self) -> int:
         return self.data.shape[1]
 
-    @classmethod
-    def from_grid(cls, array: np.ndarray) -> "FeatureMap":
-        """Wrap a (batch, channels, height, width) array, flattening row-major."""
-        array = np.asarray(array, dtype=np.float64)
-        if array.ndim != 4:
-            raise ValueError(f"expected a 4-D array, got ndim={array.ndim}")
-        b, c, h, w = array.shape
-        return cls(data=array.reshape(b, c, h * w), shape=GridShape(h, w))
-
-    def to_grid(self) -> np.ndarray:
-        """View of the data reshaped to (batch, channels, height, width)."""
-        b, c, _ = self.data.shape
-        return self.data.reshape(b, c, self.shape.height, self.shape.width)
-
 
 def discretize(params: SsmParams) -> tuple[np.ndarray, np.ndarray]:
     """Zero-order-hold discretization of the diagonal system.

@@ -8,7 +8,7 @@ is a background component that cannot reach the image border.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import ndimage
@@ -111,29 +111,19 @@ def topo_errors(pred: np.ndarray, gt: np.ndarray) -> TopoErrors:
     return TopoErrors(cce=cce, hce=hce, etm=int(cce == 0 and hce == 0))
 
 
-def aggregate(items: Iterable[TopoErrors | Sequence[int]]) -> AggregateReport:
-    """Mean errors over a batch of per-pair results.
-
-    Accepts :class:`TopoErrors` objects or plain (cce, hce, etm) triples.
+def aggregate(items: Iterable[TopoErrors]) -> AggregateReport:
+    """Mean errors over a batch of :func:`topo_errors` results.
 
     Raises:
-        ValueError: for an empty batch.
+        ValueError: for an empty batch or an item that is not a
+            :class:`TopoErrors`.
     """
-    cce_values, hce_values, etm_values = [], [], []
-    for item in items:
-        if isinstance(item, TopoErrors):
-            cce, hce, etm = item.cce, item.hce, item.etm
-        else:
-            cce, hce, etm = item
-        cce_values.append(cce)
-        hce_values.append(hce)
-        etm_values.append(etm)
-    if not cce_values:
+    errors = list(items)
+    if not errors:
         raise ValueError("cannot aggregate an empty batch")
-    n = len(cce_values)
-    return AggregateReport(
-        cce=float(np.mean(cce_values)),
-        hce=float(np.mean(hce_values)),
-        etm_pct=100.0 * float(np.mean(etm_values)),
-        n=n,
-    )
+    for item in errors:
+        if not isinstance(item, TopoErrors):
+            raise ValueError(f"aggregate takes TopoErrors items, got {item!r}")
+    cce, hce, etm = np.mean([(e.cce, e.hce, e.etm) for e in errors], axis=0)
+    n = len(errors)
+    return AggregateReport(cce=float(cce), hce=float(hce), etm_pct=100.0 * float(etm), n=n)

@@ -25,6 +25,9 @@ class TestScenarios:
             Scenario(name="mystery")
         with pytest.raises(ValueError):
             make_scenario("mystery")
+        for name in (123, None):
+            with pytest.raises(ValueError, match="must be a string"):
+                make_scenario(name)
 
     def test_cli_aliases(self):
         assert make_scenario("two-scale").name == "two_scale"
@@ -58,6 +61,8 @@ class TestScenarios:
             StageModel(strides=(8, 4))
         with pytest.raises(ValueError):
             StageModel(requests_per_stage=0)
+        with pytest.raises(ValueError, match="sequence of integers"):
+            StageModel(strides=5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -77,9 +82,9 @@ class TestScenarios:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"sizes": (300.7,)},
-            {"sizes": (256, 512.0)},
-            {"sizes": (False,)},
+            {"sample_count": 3.0},
+            {"sample_count": None},
+            {"sample_count": np.float64(4.0)},
             {"sample_count": 2.5},
             {"sample_count": True},
             {"sample_count": "10"},
@@ -91,9 +96,9 @@ class TestScenarios:
 
     def test_numpy_integers_become_ints(self):
         stages = StageModel(strides=(np.int64(4), np.int32(8)), requests_per_stage=np.int64(2))
-        scenario = Scenario(name="fixed", sample_count=np.int64(3), sizes=(np.int16(300),))
-        values = [*stages.strides, stages.requests_per_stage, scenario.sample_count, *scenario.sizes]
-        assert values == [4, 8, 2, 3, 300]
+        scenario = Scenario(name="fixed", sample_count=np.int64(3))
+        values = [*stages.strides, stages.requests_per_stage, scenario.sample_count]
+        assert values == [4, 8, 2, 3]
         assert all(type(v) is int for v in values)
 
 
@@ -105,11 +110,6 @@ class TestAnalyticOracle:
     def test_single_sample_distinct_stage_sizes(self):
         scenario = Scenario(name="fixed", sample_count=1)
         assert analytic_hit_rate(scenario, StageModel()) == 0.0
-
-    def test_two_scale_disjoint_internal_sizes(self):
-        # 256 -> 64,32,16,8 and 352 -> 88,44,22,11: disjoint, 8 unique keys
-        scenario = Scenario(name="two_scale", sample_count=100, sizes=(256, 352))
-        assert analytic_hit_rate(scenario, StageModel()) == 98.0
 
     def test_requests_per_stage_scales_totals(self):
         scenario = Scenario(name="fixed", sample_count=10)
@@ -138,7 +138,7 @@ class TestAnalyticOracle:
 
     def test_shapes_shared_across_strides_count_once(self):
         # 256 -> 64,32,16,8 and 512 -> 128,64,32,16: 5 distinct, not 8.
-        scenario = Scenario(name="two_scale", sample_count=2, sizes=(256, 512))
+        scenario = Scenario(name="two_scale", sample_count=2)
         assert analytic_hit_rate(scenario, StageModel()) == 100.0 * (8 - 5) / 8
 
     def test_unique_external_sizes_still_collide_internally(self):
@@ -193,7 +193,7 @@ class TestRunScenario:
         # stage keys 16/8 and 32/16: two per stage, three in all.
         scenario = make_scenario("two-scale", sample_count=4, seed=0)
         stages = StageModel(strides=(16, 32), requests_per_stage=3)
-        report = run_scenario(scenario, stages, cache_capacity=64, channels=1, warmup=2)
+        report = run_scenario(scenario, stages, cache_capacity=64, channels=1)
         assert report.total_requests == 4 * 2 * 3
         assert [s["stride"] for s in report.per_stage] == [16, 32]
         assert [s["requests"] for s in report.per_stage] == [12, 12]
@@ -202,6 +202,36 @@ class TestRunScenario:
         assert report.hit_rate_pct == analytic_hit_rate(scenario, stages)
         assert report.hit_rate_pct == 100.0 * (24 - 3) / 24
         assert report.warm_hit_rate_pct == 100.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cache_capacity": 2.5},
+            {"cache_capacity": True},
+            {"cache_capacity": "3"},
+            {"batch": 1.5},
+            {"batch": False},
+            {"batch": 0},
+            {"channels": True},
+            {"channels": "4"},
+            {"channels": 0},
+        ],
+    )
+    def test_counts_take_positive_integers_only(self, kwargs):
+        with pytest.raises(ValueError, match="must be"):
+            run_scenario(make_scenario("fixed", sample_count=1), SMALL_STAGES, **kwargs)
+
+    def test_numpy_integer_counts_become_ints(self):
+        report = run_scenario(
+            make_scenario("fixed", sample_count=1),
+            StageModel(strides=(16, 32)),
+            cache_capacity=np.int64(4),
+            batch=np.int32(1),
+            channels=np.int16(2),
+        )
+        values = [report.capacity, report.batch, report.channels]
+        assert values == [4, 1, 2]
+        assert all(type(v) is int for v in values)
 
 
 class TestEmitReport:
@@ -249,6 +279,27 @@ class TestCacheStress:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             run_cache_stress(threads=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"threads": True},
+            {"threads": 2.5},
+            {"keys": 2.5},
+            {"keys": "16"},
+            {"iters": 2.5},
+            {"iters": False},
+        ],
+    )
+    def test_counts_take_integers_only(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_cache_stress(**kwargs)
+
+    def test_numpy_integer_counts_become_ints(self):
+        summary = run_cache_stress(threads=np.int64(1), keys=np.int32(2), iters=np.int16(3))
+        values = [summary["threads"], summary["keys"], summary["iters"]]
+        assert values == [1, 2, 3]
+        assert all(type(v) is int for v in values)
 
     def test_rejects_thread_count_above_cap(self):
         # 65 is one past the cap: if the check were missing, the pool

@@ -98,11 +98,12 @@ class TestBench:
         }
 
     def test_oracle(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "oracle", "--scenario", "fixed", "--samples", "100"
-        )
-        assert code == 0
-        assert json.loads(out)["analytic_hit_rate_pct"] == 99.0
+        # Pins each scenario's sides at the defaults (100 samples, strides 4,8,16,32).
+        expected = {"fixed": 99.0, "two-scale": 98.75, "multi-scale": 95.75, "unique": 75.25}
+        for scenario, rate in expected.items():
+            code, out, _ = run_cli(capsys, "bench", "oracle", "--scenario", scenario)
+            assert code == 0
+            assert json.loads(out)["analytic_hit_rate_pct"] == rate, scenario
 
     @pytest.mark.parametrize("command", ["run", "oracle"])
     @pytest.mark.parametrize(

@@ -153,6 +153,18 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_and_normalize(np.zeros((1, 2, 10)), projection_matrix(12, 8, 0))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_huge_rows_normalize_without_overflow(self, scale):
+        # Above about 1e154 a projected row's squared entries overflow, so
+        # the norm must come from a scaled copy of the row. An overflow
+        # RuntimeWarning fails the test through the pytest configuration.
+        rng = np.random.default_rng(8)
+        f = rng.standard_normal((2, 6, 256))
+        p = projection_matrix(256, 64, seed=0)
+        big = project_and_normalize(f * scale, p)
+        np.testing.assert_allclose(big, project_and_normalize(f, p), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.linalg.norm(big, axis=-1), 1.0, rtol=1e-12)
+
     def test_jl_preserves_distance_ordering(self):
         rng = np.random.default_rng(42)
         # Heterogeneous row scales give the pairwise distances genuine
@@ -324,6 +336,16 @@ class TestFuse:
         assert diags[0].hsic == 0.0
         assert diags[0].w == 0.5
         np.testing.assert_allclose(out, 0.4 * fc + 0.6 * ft, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_diagnostics_are_scale_invariant(self, scale):
+        fc, ft = np.random.default_rng(0).standard_normal((2, 1, 6, 256))
+        _, unit = fuse_with_diagnostics(BranchPair(f_cross=fc, f_topoa=ft))
+        _, big = fuse_with_diagnostics(BranchPair(f_cross=fc * scale, f_topoa=ft * scale))
+        for name in ("hsic", "sigma_sq", "w"):
+            np.testing.assert_allclose(
+                getattr(big[0], name), getattr(unit[0], name), rtol=1e-12, atol=0
+            )
 
     def test_full_residual_returns_topoa(self):
         rng = np.random.default_rng(6)

@@ -69,6 +69,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             ScanCache(capacity=0)
 
+    @pytest.mark.parametrize("capacity", [2.5, True, "3", None])
+    def test_capacity_takes_integers_only(self, capacity):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ScanCache(capacity=capacity)
+
+    def test_numpy_integer_capacity_becomes_int(self):
+        capacity = ScanCache(capacity=np.int64(3)).capacity
+        assert capacity == 3 and type(capacity) is int
+
     def test_size_never_exceeds_capacity(self):
         cache = ScanCache(capacity=3)
         for h in range(1, 10):
@@ -91,6 +100,11 @@ class TestKeyValidation:
     def test_malformed_dimensions_rejected(self, h, w):
         with pytest.raises(ValueError):
             CacheKey(h, w)
+
+    @pytest.mark.parametrize("device", ["", 123, b"host", ("a",), None])
+    def test_malformed_device_rejected(self, device):
+        with pytest.raises(ValueError, match="non-empty string"):
+            CacheKey(2, 2, device)
 
     def test_numpy_integers_normalize_to_the_int_key(self):
         k = CacheKey(np.int64(4), np.int32(5))

@@ -316,13 +316,6 @@ class TestMultiDirectionScan:
 
 
 class TestFeatureMap:
-    def test_round_trip_grid_layout(self):
-        rng = np.random.default_rng(2)
-        grid = rng.standard_normal((2, 3, 4, 5))
-        fm = FeatureMap.from_grid(grid)
-        assert fm.shape == GridShape(4, 5)
-        assert np.array_equal(fm.to_grid(), grid)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FeatureMap(data=np.array([[[np.inf]]]), shape=GridShape(1, 1))

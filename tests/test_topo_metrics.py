@@ -165,7 +165,7 @@ class TestAggregate:
         assert (report.cce, report.hce, report.etm_pct, report.n) == (0.0, 0.0, 100.0, 1)
 
     def test_mixed_batch_means(self):
-        report = aggregate([(1, 0, 0), (3, 1, 0)])
+        report = aggregate([TopoErrors(1, 0, 0), TopoErrors(3, 1, 0)])
         assert (report.cce, report.hce, report.etm_pct) == (2.0, 0.5, 0.0)
 
     def test_all_perfect_batch(self):
@@ -175,6 +175,11 @@ class TestAggregate:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+    @pytest.mark.parametrize("item", [(1, 0, 0), object(), None])
+    def test_non_topo_errors_items_rejected(self, item):
+        with pytest.raises(ValueError, match="TopoErrors"):
+            aggregate([TopoErrors(0, 0, 1), item])
 
 
 class TestProperties:

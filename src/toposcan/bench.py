@@ -91,17 +91,13 @@ class StageModel:
     def __post_init__(self) -> None:
         if not isinstance(self.strides, Iterable):
             raise ValueError(f"strides must be a sequence of integers, got {self.strides!r}")
-        strides = tuple(_require_int("strides", s) for s in self.strides)
+        strides = tuple(_require_int("strides", s, 1) for s in self.strides)
         if not strides:
             raise ValueError("stage model needs at least one stride")
-        if any(s < 1 for s in strides):
-            raise ValueError(f"strides must be positive, got {strides}")
         if any(b <= a for a, b in zip(strides, strides[1:])):
             raise ValueError(f"strides must be strictly increasing, got {strides}")
-        requests = _require_int("requests_per_stage", self.requests_per_stage)
-        if requests < 1:
-            raise ValueError("requests_per_stage must be >= 1")
         object.__setattr__(self, "strides", strides)
+        requests = _require_int("requests_per_stage", self.requests_per_stage, 1)
         object.__setattr__(self, "requests_per_stage", requests)
 
     def internal_shape(self, side: int, stride: int) -> GridShape:
@@ -129,10 +125,8 @@ class Scenario:
             raise ValueError(
                 f"unknown scenario {self.name!r}; expected one of {SCENARIO_NAMES}"
             )
-        sample_count = _require_int("sample_count", self.sample_count)
-        if sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        object.__setattr__(self, "sample_count", sample_count)
+        object.__setattr__(self, "sample_count", _require_int("sample_count", self.sample_count, 1))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed))
 
     def external_sides(self) -> list[int]:
         if self.name == "unique_per_sample":
@@ -302,19 +296,17 @@ def run_scenario(
             an integer >= 1, or the stream is over ``MAX_REQUESTS``.
     """
     stages = stages if stages is not None else StageModel()
-    batch, channels = _require_int("batch", batch), _require_int("channels", channels)
-    if batch < 1 or channels < 1:
-        raise ValueError(f"batch and channels must be >= 1, got {batch} and {channels}")
+    batch, channels = _require_int("batch", batch, 1), _require_int("channels", channels, 1)
     params = default_params()
     seed = scenario.seed
+    # Timer warm-up against a scratch cache keeps the measured cold pass
+    # genuinely cold; making it here checks the capacity before the stream.
+    scratch = ScanCache(capacity=cache_capacity)
     stream = key_stream(scenario, stages)
     n = len(stream)
     unique_keys = len({key for sample in stream for key in sample})
     warmups = [w % n for w in range(WARMUP_FORWARDS)]
 
-    # Timer warm-up against a scratch cache keeps the measured cold pass
-    # genuinely cold.
-    scratch = ScanCache(capacity=cache_capacity)
     _run_pass(scratch, stream, warmups, stages, params, seed, batch, channels)
 
     cache = ScanCache(capacity=cache_capacity)
@@ -407,15 +399,15 @@ def run_cache_stress(
         Summary dict including a ``violations`` count (0 on success).
 
     Raises:
-        ValueError: if a count is not an integer >= 1, ``threads`` exceeds
-            ``MAX_STRESS_THREADS`` or ``keys`` exceeds ``MAX_STRESS_KEYS``;
-            checked before any reference is built or thread starts.
+        ValueError: if a count is not an integer >= 1, ``seed`` is not an
+            integer, ``threads`` exceeds ``MAX_STRESS_THREADS`` or ``keys``
+            exceeds ``MAX_STRESS_KEYS``; checked before any reference is
+            built or thread starts.
     """
-    threads = _require_int("threads", threads)
-    keys = _require_int("keys", keys)
-    iters = _require_int("iters", iters)
-    if threads < 1 or keys < 1 or iters < 1:
-        raise ValueError("threads, keys, and iters must all be >= 1")
+    threads = _require_int("threads", threads, 1)
+    keys = _require_int("keys", keys, 1)
+    iters = _require_int("iters", iters, 1)
+    seed = _require_int("seed", seed)
     if threads > MAX_STRESS_THREADS:
         raise ValueError(f"threads must be <= {MAX_STRESS_THREADS}, got {threads}")
     if keys > MAX_STRESS_KEYS:

@@ -9,9 +9,10 @@ Subcommands:
     cache stress  -- concurrent cache storm with oracle verification
 
 The environment variable TOPOSCAN_SEED, when set, overrides any --seed.
-Contract violations exit nonzero with a one-line error JSON on stderr.
-Sizes whose largest array would exceed MAX_CELLS elements are contract
-violations, raised before anything is allocated.
+Every failure, a malformed command line included, exits 1 with a one-line
+error JSON on stderr; nothing exits 2. Counts must be integers >= 1, and sizes
+whose largest array would exceed MAX_CELLS elements are rejected, both before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import bench
 from .hsic_gate import BranchPair, GateConfig, effective_projection_width, fuse_with_diagnostics
 from .mask_io import binarize, read_manifest, read_mask
-from .scan_order import GridShape, build_cross_indices, build_topoa_indices
+from .scan_order import GridShape, _require_int, build_cross_indices, build_topoa_indices
 from .topo_metrics import aggregate, topo_errors
 
 __all__ = ["main", "build_parser"]
@@ -35,11 +36,11 @@ __all__ = ["main", "build_parser"]
 MAX_CELLS = 2**24
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValueError`` on a malformed command line instead of exiting 2."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def _strides(text: str) -> tuple[int, ...]:
@@ -73,7 +74,7 @@ def _write_output(payload: bytes, out: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toposcan",
         description="Scan-order serialization, index caching, gated fusion, and topology metrics.",
     )
@@ -85,16 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_args = argparse.ArgumentParser(add_help=False)
     scenario_args.add_argument("--scenario", required=True,
                                choices=["fixed", "two-scale", "multi-scale", "unique"])
-    scenario_args.add_argument("--samples", type=_positive_int, default=100)
+    scenario_args.add_argument("--samples", type=int, default=100)
     scenario_args.add_argument("--strides", type=_strides, default=(4, 8, 16, 32))
-    scenario_args.add_argument("--requests-per-stage", type=_positive_int, default=1)
+    scenario_args.add_argument("--requests-per-stage", type=int, default=1)
 
     run = bench_sub.add_parser("run", parents=[scenario_args],
                                help="run a scenario and emit a report")
-    run.add_argument("--capacity", type=_positive_int, default=64)
+    run.add_argument("--capacity", type=int, default=64)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--batch", type=_positive_int, default=1)
-    run.add_argument("--channels", type=_positive_int, default=4)
+    run.add_argument("--batch", type=int, default=1)
+    run.add_argument("--channels", type=int, default=4)
     run.add_argument("--format", choices=["json", "csv"], default="json")
     run.add_argument("--out", default=None)
     run.set_defaults(func=_cmd_bench_run)
@@ -106,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan_parser = top.add_parser("scan", help="index-pair utilities")
     scan_sub = scan_parser.add_subparsers(dest="command", required=True)
     dump = scan_sub.add_parser("dump", help="dump an index pair as JSON")
-    dump.add_argument("--h", type=_positive_int, required=True)
-    dump.add_argument("--w", type=_positive_int, required=True)
+    dump.add_argument("--h", type=int, required=True)
+    dump.add_argument("--w", type=int, required=True)
     dump.add_argument("--kind", choices=["topoa", "cross"], default="topoa")
     dump.add_argument("--out", default=None)
     dump.set_defaults(func=_cmd_scan_dump)
@@ -115,11 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     gate_parser = top.add_parser("gate", help="fusion gate utilities")
     gate_sub = gate_parser.add_subparsers(dest="command", required=True)
     diag = gate_sub.add_parser("diag", help="gate diagnostics on random features")
-    diag.add_argument("--b", type=_positive_int, default=1)
-    diag.add_argument("--c", type=_positive_int, default=8)
-    diag.add_argument("--l", type=_positive_int, default=256)
+    diag.add_argument("--b", type=int, default=1)
+    diag.add_argument("--c", type=int, default=8)
+    diag.add_argument("--l", type=int, default=256)
     diag.add_argument("--seed", type=int, default=0)
-    diag.add_argument("--d-proj", type=_positive_int, default=64)
+    diag.add_argument("--d-proj", type=int, default=64)
     diag.add_argument("--alpha", type=float, default=0.5)
     diag.add_argument("--temperature", type=float, default=1.5)
     diag.add_argument("--rho", type=float, default=0.2)
@@ -135,10 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser = top.add_parser("cache", help="cache exercises")
     cache_sub = cache_parser.add_subparsers(dest="command", required=True)
     stress = cache_sub.add_parser("stress", help="concurrent get-or-build storm")
-    stress.add_argument("--threads", type=_positive_int, default=4)
-    stress.add_argument("--keys", type=_positive_int, default=16)
-    stress.add_argument("--iters", type=_positive_int, default=200)
-    stress.add_argument("--capacity", type=_positive_int, default=None)
+    stress.add_argument("--threads", type=int, default=4)
+    stress.add_argument("--keys", type=int, default=16)
+    stress.add_argument("--iters", type=int, default=200)
+    stress.add_argument("--capacity", type=int, default=None)
     stress.add_argument("--seed", type=int, default=0)
     stress.set_defaults(func=_cmd_cache_stress)
 
@@ -160,13 +161,14 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     bench.check_requests(scenario, stages)  # before external_sides() lists every sample
     # strides[0] is the smallest stride, so its stage is the longest.
     largest = stages.internal_shape(max(scenario.external_sides()), stages.strides[0]).length
-    _check_cells("batch * channels * largest stage length", args.batch * args.channels * largest)
+    batch, channels = (_require_int(name, getattr(args, name), 1) for name in ("batch", "channels"))
+    _check_cells("batch * channels * largest stage length", batch * channels * largest)
     report = bench.run_scenario(
         scenario,
         stages,
         cache_capacity=args.capacity,
-        batch=args.batch,
-        channels=args.channels,
+        batch=batch,
+        channels=channels,
     )
     _write_output(bench.emit_report(report, args.format), args.out)
     return 0
@@ -180,9 +182,9 @@ def _cmd_bench_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_dump(args: argparse.Namespace) -> int:
-    # The JSON holds forward and inverse, four rows of h * w entries each.
-    _check_cells("8 * h * w index entries", 8 * args.h * args.w)
     shape = GridShape(args.h, args.w)
+    # The JSON holds forward and inverse, four rows of h * w entries each.
+    _check_cells("8 * h * w index entries", 8 * shape.length)
     pair = build_topoa_indices(shape) if args.kind == "topoa" else build_cross_indices(shape)
     payload = {
         "h": shape.height,
@@ -195,8 +197,7 @@ def _cmd_scan_dump(args: argparse.Namespace) -> int:
 
 
 def _cmd_gate_diag(args: argparse.Namespace) -> int:
-    _check_cells("b * c * l", args.b * args.c * args.l)
-    _check_cells("l * projection width", args.l * effective_projection_width(args.d_proj, args.l))
+    batch, channels, length = (_require_int(name, getattr(args, name), 1) for name in "bcl")
     seed = _resolve_seed(args)
     cfg = GateConfig(
         d_proj=args.d_proj,
@@ -205,10 +206,12 @@ def _cmd_gate_diag(args: argparse.Namespace) -> int:
         rho=args.rho,
         seed=seed,
     )
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, args.b, args.c, args.l])
+    _check_cells("b * c * l", batch * channels * length)
+    _check_cells("l * projection width", length * effective_projection_width(cfg.d_proj, length))
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, batch, channels, length])
     pair = BranchPair(
-        f_cross=rng.standard_normal((args.b, args.c, args.l)),
-        f_topoa=rng.standard_normal((args.b, args.c, args.l)),
+        f_cross=rng.standard_normal((batch, channels, length)),
+        f_topoa=rng.standard_normal((batch, channels, length)),
     )
     _, diagnostics = fuse_with_diagnostics(pair, cfg)
     print(json.dumps([d.as_dict() for d in diagnostics]))
@@ -242,9 +245,8 @@ def _cmd_cache_stress(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

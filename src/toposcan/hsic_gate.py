@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .scan_order import _require_int
+from .scan_order import _require_int, _require_real
 
 __all__ = [
     "GateConfig",
@@ -61,10 +61,10 @@ class GateConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("d_proj", "seed"):
-            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
-        if self.d_proj < 1:
-            raise ValueError(f"d_proj must be >= 1, got {self.d_proj}")
+        object.__setattr__(self, "d_proj", _require_int("d_proj", self.d_proj, 1))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed))
+        for name in ("alpha", "temperature", "rho"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not self.temperature > 0:
@@ -87,6 +87,8 @@ class BranchPair:
                 raise ValueError(f"{name} must be 3-D (batch, channels, length)")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
+            if arr.shape[0] < 1:
+                raise ValueError(f"{name} must hold at least one batch item")
             object.__setattr__(self, name, arr)
         if self.f_cross.shape != self.f_topoa.shape:
             raise ValueError(
@@ -129,8 +131,8 @@ def projection_matrix(length: int, width: int, seed: int = 0) -> np.ndarray:
     seed), so a shorter length gives bitwise the prefix of a longer one
     and the same arguments always give bit-identical values.
     """
-    if length < 1 or width < 1:
-        raise ValueError("projection dimensions must be >= 1")
+    length, width = _require_int("length", length, 1), _require_int("width", width, 1)
+    seed = _require_int("seed", seed)
     master = _PROJECTIONS.get((width, seed))
     if master is None or master.shape[0] < length:
         rng = np.random.default_rng([seed & 0xFFFFFFFF, width])

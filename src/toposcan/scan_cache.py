@@ -96,10 +96,7 @@ class ScanCache:
         capacity: int = DEFAULT_CAPACITY,
         builder: Callable[[GridShape], IndexPair] = build_topoa_indices,
     ):
-        capacity = _require_int("capacity", capacity)
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
+        self._capacity = _require_int("capacity", capacity, 1)
         self._builder = builder
         self._entries: "OrderedDict[CacheKey, IndexPair]" = OrderedDict()
         self._in_flight: dict[CacheKey, Future] = {}

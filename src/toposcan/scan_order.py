@@ -30,11 +30,21 @@ __all__ = [
 ]
 
 
-def _require_int(name: str, value: object) -> int:
-    """``value`` as an ``int`` if it is an int or NumPy integer (never a bool)."""
+def _require_int(name: str, value: object, minimum: int | None = None) -> int:
+    """``value`` as an ``int`` if it is an int or NumPy integer (never a bool)
+    and, when ``minimum`` is given, at least ``minimum``."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _require_real(name: str, value: object) -> float:
+    """``value`` as a ``float`` if it is a Python or NumPy real (never a bool)."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -46,10 +56,7 @@ class GridShape:
 
     def __post_init__(self) -> None:
         for name in ("height", "width"):
-            value = _require_int(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), 1))
 
     @property
     def length(self) -> int:
@@ -59,7 +66,7 @@ class GridShape:
 
 def _inverse_rows(orders: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Inverse of each row of ``orders``, an int64 ``shape`` array of permutations."""
-    if orders.dtype != np.int64 or orders.shape != shape:
+    if not isinstance(orders, np.ndarray) or orders.dtype != np.int64 or orders.shape != shape:
         raise ValueError(f"orders must be an int64 array of shape {shape}")
     if not 0 <= orders.min() <= orders.max() < shape[-1]:
         raise ValueError(f"orders hold entries outside 0 .. {shape[-1] - 1}")
@@ -87,6 +94,8 @@ class IndexPair:
     shape: GridShape
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shape, GridShape):
+            raise ValueError(f"shape must be a GridShape, got {self.shape!r}")
         _inverse_rows(self.base, (2, self.shape.length))  # the check; the inverse is dropped
         self.base.setflags(write=False)
 
@@ -183,9 +192,12 @@ def adjacent_step_distances(order: np.ndarray, shape: GridShape) -> np.ndarray:
         float64 array of length L-1 (empty for a single-cell grid).
 
     Raises:
-        ValueError: if ``order`` is not a permutation of 0 .. L-1.
+        ValueError: if ``order`` is not an integer permutation of 0 .. L-1.
     """
-    order = np.asarray(order, dtype=np.int64)
+    order = np.asarray(order)
+    if not np.issubdtype(order.dtype, np.integer):
+        raise ValueError(f"order must hold integers, got dtype {order.dtype}")
+    order = order.astype(np.int64)
     _inverse_rows(order, (shape.length,))
     i, j = np.divmod(order, shape.width)
     return np.hypot(np.diff(i).astype(np.float64), np.diff(j).astype(np.float64))

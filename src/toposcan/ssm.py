@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 from scipy.signal import lfilter
 
-from .scan_order import GridShape, IndexPair
+from .scan_order import GridShape, IndexPair, _require_real
 
 CHUNK = 64
 """Steps per chunk of the chunked scan."""
@@ -75,8 +75,9 @@ class SsmParams:
             object.__setattr__(self, name, arr)
         if not (self.a.shape == self.b.shape == self.c.shape):
             raise ValueError("a, b, c must have identical shapes")
-        scalars = np.asarray([self.d, self.delta], dtype=np.float64)
-        if not all(np.isfinite(v).all() for v in (self.a, self.b, self.c, scalars)):
+        for name in ("d", "delta"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        if not all(np.isfinite(v).all() for v in (self.a, self.b, self.c, [self.d, self.delta])):
             raise ValueError("a, b, c, d and delta must be finite")
         if not np.all(self.a < 0):
             raise ValueError("all state-transition coefficients must be strictly negative")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toposcan.bench import (
+    MAX_REQUESTS,
     Scenario,
     StageModel,
     analytic_hit_rate,
@@ -88,6 +89,8 @@ class TestScenarios:
             {"sample_count": 2.5},
             {"sample_count": True},
             {"sample_count": "10"},
+            {"seed": 1.5},
+            {"seed": True},
         ],
     )
     def test_scenario_takes_integers_only(self, kwargs):
@@ -221,6 +224,12 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="must be"):
             run_scenario(make_scenario("fixed", sample_count=1), SMALL_STAGES, **kwargs)
 
+    def test_capacity_is_checked_before_the_key_stream(self):
+        # A stream over the request budget would fail later, once it was built.
+        scenario = make_scenario("fixed", sample_count=MAX_REQUESTS)
+        with pytest.raises(ValueError, match="capacity must be >= 1, got 0"):
+            run_scenario(scenario, SMALL_STAGES, cache_capacity=0)
+
     def test_numpy_integer_counts_become_ints(self):
         report = run_scenario(
             make_scenario("fixed", sample_count=1),
@@ -289,6 +298,8 @@ class TestCacheStress:
             {"keys": "16"},
             {"iters": 2.5},
             {"iters": False},
+            {"seed": 1.5},
+            {"seed": True},
         ],
     )
     def test_counts_take_integers_only(self, kwargs):

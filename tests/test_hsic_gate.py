@@ -153,6 +153,13 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_and_normalize(np.zeros((1, 2, 10)), projection_matrix(12, 8, 0))
 
+    @pytest.mark.parametrize(
+        "args", [(5, 8, 1.5), (2.5, 8), (5, 8.0), (0, 8), (5, 0), (5, 8, True)]
+    )
+    def test_projection_takes_integers_only(self, args):
+        with pytest.raises(ValueError, match="must be"):
+            projection_matrix(*args)
+
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
     def test_huge_rows_normalize_without_overflow(self, scale):
         # Above about 1e154 a projected row's squared entries overflow, so
@@ -416,6 +423,10 @@ class TestFuse:
         with pytest.raises(ValueError):
             BranchPair(f_cross=np.zeros((1, 2, 3)), f_topoa=np.zeros((1, 2, 4)))
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one batch item"):
+            BranchPair(f_cross=np.zeros((0, 2, 4)), f_topoa=np.zeros((0, 2, 4)))
+
     def test_single_channel_rejected(self):
         with pytest.raises(ValueError):
             fuse(BranchPair(f_cross=np.zeros((1, 1, 8)), f_topoa=np.zeros((1, 1, 8))))
@@ -430,6 +441,9 @@ class TestGateConfig:
             {"temperature": -1.0},
             {"rho": -0.1},
             {"rho": 1.1},
+            {"temperature": "x"},
+            {"rho": "x"},
+            {"alpha": "x"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -455,6 +469,11 @@ class TestGateConfig:
         cfg = GateConfig(d_proj=np.int64(32), seed=np.uint32(7))
         assert (cfg.d_proj, cfg.seed) == (32, 7)
         assert type(cfg.d_proj) is int and type(cfg.seed) is int
+
+    def test_reals_become_floats(self):
+        cfg = GateConfig(alpha=1, temperature=np.float32(2.0), rho=np.int64(0))
+        assert (cfg.alpha, cfg.temperature, cfg.rho) == (1.0, 2.0, 0.0)
+        assert all(type(v) is float for v in (cfg.alpha, cfg.temperature, cfg.rho))
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_alpha(self, alpha):

@@ -235,6 +235,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             adjacent_step_distances([0, 1, 2], GridShape(2, 2))
 
+    def test_rejects_non_integer_order(self):
+        # Casting would truncate 0.5 to 0 and measure a permutation that was never passed.
+        with pytest.raises(ValueError, match="must hold integers"):
+            adjacent_step_distances(np.array([0.5, 1, 2, 3]), GridShape(2, 2))
+
     @pytest.mark.parametrize(
         "base",
         [
@@ -247,15 +252,20 @@ class TestValidation:
             np.stack([np.arange(12), np.arange(-1, 11)]),  # -1 would wrap
             np.stack([np.arange(12), np.r_[0, 0, np.arange(2, 12)]]),  # repeat, 1 missing
             np.stack([np.r_[np.arange(11), 10], np.arange(12)]),  # repeat, 11 missing
+            [list(range(12))] * 2,  # not an array
         ],
         ids=[
             "three-rows", "one-row", "short-rows", "int32", "float", "too-large",
-            "negative", "repeat-first", "repeat-last",
+            "negative", "repeat-first", "repeat-last", "list",
         ],
     )
     def test_index_pair_rejects_malformed_base(self, base):
         with pytest.raises(ValueError):
             IndexPair(base, GridShape(3, 4))
+
+    def test_index_pair_rejects_shape_tuple(self):
+        with pytest.raises(ValueError, match="must be a GridShape"):
+            IndexPair(build_cross_indices(GridShape(2, 2)).base, (2, 2))
 
     @pytest.mark.parametrize("height,width", [(0, 3), (3, 0), (-1, 2)])
     def test_rejects_bad_shapes(self, height, width):

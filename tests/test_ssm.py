@@ -89,6 +89,8 @@ class TestDiscretize:
     def test_params_reject_bad_delta(self):
         with pytest.raises(ValueError):
             SsmParams(a=[-1.0], b=[1.0], c=[1.0], d=0.0, delta=0.0)
+        with pytest.raises(ValueError, match="must be a real number"):
+            SsmParams(a=[-1.0], b=[1.0], c=[1.0], d=0.0, delta="0.1")
 
     @pytest.mark.parametrize("name", ["a", "b", "c", "d", "delta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -78,10 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toposcan",
         description="Scan-order serialization, index caching, gated fusion, and topology metrics.",
     )
-    top = parser.add_subparsers(dest="group", required=True)
+    top = parser.add_subparsers(required=True)
 
     bench_parser = top.add_parser("bench", help="caching scenario benchmarks")
-    bench_sub = bench_parser.add_subparsers(dest="command", required=True)
+    bench_sub = bench_parser.add_subparsers(required=True)
 
     scenario_args = argparse.ArgumentParser(add_help=False)
     scenario_args.add_argument("--scenario", required=True,
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(func=_cmd_bench_oracle)
 
     scan_parser = top.add_parser("scan", help="index-pair utilities")
-    scan_sub = scan_parser.add_subparsers(dest="command", required=True)
+    scan_sub = scan_parser.add_subparsers(required=True)
     dump = scan_sub.add_parser("dump", help="dump an index pair as JSON")
     dump.add_argument("--h", type=int, required=True)
     dump.add_argument("--w", type=int, required=True)
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.set_defaults(func=_cmd_scan_dump)
 
     gate_parser = top.add_parser("gate", help="fusion gate utilities")
-    gate_sub = gate_parser.add_subparsers(dest="command", required=True)
+    gate_sub = gate_parser.add_subparsers(required=True)
     diag = gate_sub.add_parser("diag", help="gate diagnostics on random features")
     diag.add_argument("--b", type=int, default=1)
     diag.add_argument("--c", type=int, default=8)
@@ -127,14 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     diag.set_defaults(func=_cmd_gate_diag)
 
     topo_parser = top.add_parser("topo", help="topology metrics")
-    topo_sub = topo_parser.add_subparsers(dest="command", required=True)
+    topo_sub = topo_parser.add_subparsers(required=True)
     report = topo_sub.add_parser("report", help="metrics over a manifest of mask pairs")
     report.add_argument("--manifest", required=True)
     report.add_argument("--out", default=None)
     report.set_defaults(func=_cmd_topo_report)
 
     cache_parser = top.add_parser("cache", help="cache exercises")
-    cache_sub = cache_parser.add_subparsers(dest="command", required=True)
+    cache_sub = cache_parser.add_subparsers(required=True)
     stress = cache_sub.add_parser("stress", help="concurrent get-or-build storm")
     stress.add_argument("--threads", type=int, default=4)
     stress.add_argument("--keys", type=int, default=16)
@@ -143,6 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     stress.add_argument("--seed", type=int, default=0)
     stress.set_defaults(func=_cmd_cache_stress)
 
+    # A missing subcommand is reported by this name: the words the user can type.
+    for sub in (top, bench_sub, scan_sub, gate_sub, topo_sub, cache_sub):
+        sub.metavar = "{" + ",".join(sub.choices) + "}"
     return parser
 
 

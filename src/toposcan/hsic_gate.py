@@ -49,7 +49,7 @@ class GateConfig:
             max(8, min(d_proj, L)).
         alpha: scalar scale on the dependence score (0.5 by default; a
             trainable parameter in the original setting, fixed here).
-        temperature: sigmoid temperature, > 0.
+        temperature: sigmoid temperature, finite and > 0.
         rho: residual weight in [0, 1] on the diagonal-scan branch.
         seed: seed for the cached random projection.
     """
@@ -65,8 +65,9 @@ class GateConfig:
         object.__setattr__(self, "seed", _require_int("seed", self.seed))
         for name in ("alpha", "temperature", "rho"):
             object.__setattr__(self, name, _require_real(name, getattr(self, name)))
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        for name in ("alpha", "temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if not 0.0 <= self.rho <= 1.0:

@@ -18,9 +18,17 @@ matrix product applies the lower-triangular kernel
 K[t, s] = sum_n c a_bar^(t-s) b_bar (with d on the diagonal) and yields
 each chunk's end states. A first-order filter with decay a_bar^CHUNK
 carries the states across chunk ends, and a second product adds their
-effect to the following chunk. The modal (per-state) form is kept: one
-order-N direct-form filter with denominator poly(a_bar) loses accuracy
-as N grows.
+effect to each chunk. The modal (per-state) form is kept: one order-N
+direct-form filter with denominator poly(a_bar) loses accuracy as N
+grows.
+
+A forward and a backward scan of one sequence sum to one symmetric
+Toeplitz kernel, K[|t - s|] with 2d on the diagonal: the bidirectional
+quasiseparable mixer of Hydra (Hwang et al., 2024). The two-sided scan
+applies it in the same chunked form. One product per chunk gives the
+symmetric local part, the end states and the start states; the end
+states are carried forward across chunk ends, the start states backward
+across chunk starts, and one more product adds both to each chunk.
 """
 
 from __future__ import annotations
@@ -90,7 +98,7 @@ class SsmParams:
 
     @cached_property
     def _chunk_operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (step, decay, carry) operators of the chunked scan.
+        """Read-only (step, decay, carry) operators of the causal chunked scan.
 
         ``step`` is (CHUNK, CHUNK + N). Its first CHUNK columns hold the
         transposed in-chunk kernel, step[s, t] = sum_n c a_bar^(t-s) b_bar
@@ -111,6 +119,27 @@ class SsmParams:
         decay = powers[CHUNK]
         carry = (powers[1:] * self.c).T
         for arr in (step, decay, carry):
+            arr.setflags(write=False)
+        return step, decay, carry
+
+    @cached_property
+    def _two_sided_operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (step, decay, carry) operators of the two-sided chunked scan.
+
+        ``step`` is (CHUNK, CHUNK + 2N): the symmetric kernel
+        step[s, t] = sum_n c a_bar^|t-s| b_bar, whose diagonal counts the
+        causal and anti-causal kernels and d once each, then the causal
+        end-state columns a_bar^(CHUNK-1-s) b_bar and the anti-causal
+        start-state columns a_bar^s b_bar. ``decay`` is the causal one.
+        ``carry`` is (2N, CHUNK): the causal rows c a_bar^(t+1) over the
+        anti-causal rows c a_bar^(CHUNK-t), the response inside a chunk to
+        the state entering from the chunk before it and after it.
+        """
+        causal, decay, carry = self._chunk_operators
+        kernel = causal[:, :CHUNK]
+        step = np.concatenate([kernel + kernel.T, causal[:, CHUNK:], causal[::-1, CHUNK:]], axis=1)
+        carry = np.concatenate([carry, carry[:, ::-1]])
+        for arr in (step, carry):
             arr.setflags(write=False)
         return step, decay, carry
 
@@ -182,31 +211,41 @@ def discretize(params: SsmParams) -> tuple[np.ndarray, np.ndarray]:
     return a_bar, b_bar
 
 
-def _scan_last_axis(data: np.ndarray, params: SsmParams) -> np.ndarray:
+def _carry_states(states: np.ndarray, decay: np.ndarray, out: np.ndarray) -> None:
+    """Write h[j] = decay * h[j-1] + states[j], run along axis 1, into ``out``."""
+    for n in range(decay.shape[0]):
+        out[..., n] = lfilter([1.0], [1.0, -decay[n]], states[..., n], axis=-1)
+
+
+def _scan_last_axis(data: np.ndarray, params: SsmParams, two_sided: bool = False) -> np.ndarray:
     """Run the recurrence along the last axis of ``data``, CHUNK steps at a time.
 
-    Each sequence is one 3-D product over (rows, chunks, CHUNK), so a
-    sequence's result does not depend on how many others share the call.
+    With ``two_sided``, the recurrence also runs from the end and the two
+    are summed: the result equals scan(x) + scan(x[::-1])[::-1] to
+    rounding, from one symmetric product per chunk. Each sequence is one
+    3-D product over (rows, chunks, CHUNK), so a sequence's result does
+    not depend on how many others share the call.
     """
     *lead, length = data.shape
     if data.size == 0:
         return np.zeros(data.shape)
-    step, decay, carry = params._chunk_operators
+    step, decay, carry = params._two_sided_operators if two_sided else params._chunk_operators
+    n = params.state_dim
     chunks = -(-length // CHUNK)
     if chunks * CHUNK != length:
         padded = np.zeros((*lead, chunks * CHUNK))
         padded[..., :length] = data
         data = padded
-    out = data.reshape(-1, chunks, CHUNK) @ step  # (rows, chunks, CHUNK + N)
-    y = np.empty((out.shape[0], chunks, CHUNK))
-    y[:, 0] = out[:, 0, :CHUNK]
+    out = data.reshape(-1, chunks, CHUNK) @ step  # (rows, chunks, CHUNK + N, or + 2N)
+    # The states entering each chunk from the chunk before it (and, two-sided, after it).
+    entering = np.zeros((out.shape[0], chunks, carry.shape[0]))
     if chunks > 1:
-        ends = out[:, :-1, CHUNK:]
-        carried = np.empty(ends.shape)
-        for n in range(params.state_dim):
-            carried[..., n] = lfilter([1.0], [1.0, -decay[n]], ends[..., n], axis=-1)
-        np.matmul(carried, carry, out=y[:, 1:])
-        y[:, 1:] += out[:, 1:, :CHUNK]
+        _carry_states(out[:, :-1, CHUNK : CHUNK + n], decay, entering[:, 1:, :n])
+        if two_sided:
+            # Zero end padding adds nothing to a state carried backward.
+            _carry_states(out[:, :0:-1, CHUNK + n :], decay, entering[:, -2::-1, n:])
+    y = entering @ carry
+    y += out[..., :CHUNK]
     return y.reshape(*lead, chunks * CHUNK)[..., :length]
 
 
@@ -232,10 +271,12 @@ def multi_direction_scan(
     """Scan along all four directions and sum the restored maps.
 
     Directions 2 and 3 reverse base orders 0 and 1, so the channels are
-    gathered once by ``indices.base``, each base sequence g is scanned
-    both ways as ``scan(g) + scan(g[::-1])[::-1]``, and each sum is
-    scattered back to raster order once through the base row it was
-    gathered by; the restored maps sum in the order (r0 + r2) + (r1 + r3).
+    gathered once by ``indices.base`` and each base sequence g gets one
+    two-sided scan: one symmetric product per chunk, with a forward and a
+    backward carry, equal to ``scan(g) + scan(g[::-1])[::-1]`` to
+    rounding. Each result is scattered back to raster order once through
+    the base row it was gathered by; the restored maps sum in the order
+    (r0 + r2) + (r1 + r3).
 
     Raises:
         ValueError: if ``indices.shape`` does not match the feature map.
@@ -245,7 +286,7 @@ def multi_direction_scan(
             f"index shape {indices.shape} does not match feature map shape {x.shape}"
         )
     g = x.data[..., indices.base]  # (B, C, 2, L)
-    both = _scan_last_axis(g, params) + _scan_last_axis(g[..., ::-1], params)[..., ::-1]
+    both = _scan_last_axis(g, params, two_sided=True)
     merged, rest = np.empty(x.data.shape), np.empty(x.data.shape)  # base rows are permutations
     merged[..., indices.base[0]] = both[..., 0, :]
     rest[..., indices.base[1]] = both[..., 1, :]

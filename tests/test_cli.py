@@ -296,6 +296,28 @@ class TestArgvErrors:
         (line,) = err.splitlines()
         assert json.loads(line)["error"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "argv,choices",
+        [((), "{bench,scan,gate,topo,cache}"), (("bench",), "{run,oracle}"), (("cache",), "{stress}")],
+    )
+    def test_missing_subcommand_names_the_choices(self, capsys, argv, choices):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "ValueError",
+            "message": f"the following arguments are required: {choices}",
+        }
+
+    @pytest.mark.parametrize("value", ["inf", "1e999", "nan"])
+    def test_non_finite_temperature_reports_error(self, capsys, value):
+        code, out, err = run_cli(capsys, "gate", "diag", "--temperature", value)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "ValueError", "message": f"temperature must be finite, got {float(value)}"
+        }
+
     def test_negative_factors_fail_the_count_rule_not_the_budget(self, capsys):
         # (-100000) ** 2 * 100000 is over MAX_CELLS, but the counts are what is wrong.
         code, _, err = run_cli(

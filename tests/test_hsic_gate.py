@@ -479,3 +479,11 @@ class TestGateConfig:
     def test_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(ValueError):
             GateConfig(alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "temperature", [float("nan"), float("inf"), -float("inf"), 1e999],
+        ids=["nan", "inf", "-inf", "1e999"],
+    )
+    def test_rejects_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            GateConfig(temperature=temperature)

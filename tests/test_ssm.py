@@ -43,10 +43,20 @@ def step_recurrence(x, params):
     return y
 
 
+def unrolled_kernel_matrix(length, params):
+    """Dense K[t, s] = c . (a_bar^(t-s) * b_bar) for s <= t, plus d on the diagonal."""
+    a_bar, b_bar = discretize(params)
+    lag = np.subtract.outer(np.arange(length), np.arange(length))
+    impulse = (a_bar ** np.arange(length)[:, None] * b_bar) @ params.c
+    return np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0) + params.d * np.eye(length)
+
+
 def gather_by_inverse_reference(fm, pair, params):
-    """Scan both ways per base row, then restore by gathering through the inverse rows."""
+    """Scan both ways one base sequence at a time, then restore by gathering through the inverse rows."""
     g = fm.data[..., pair.base]
-    both = _scan_last_axis(g, params) + _scan_last_axis(g[..., ::-1], params)[..., ::-1]
+    both = np.empty(g.shape)
+    for index in np.ndindex(g.shape[:-1]):
+        both[index] = _scan_last_axis(g[index], params, two_sided=True)
     inverse = pair.inverse[:2]
     return both[..., 0, inverse[0]] + both[..., 1, inverse[1]]
 
@@ -196,10 +206,47 @@ class TestChunkBoundaries:
 
     def test_chunk_operators_are_cached_and_read_only(self):
         params = default_params()
-        operators = params._chunk_operators
-        assert params._chunk_operators is operators
-        for arr in operators:
-            assert not arr.flags.writeable
+        for name in ("_chunk_operators", "_two_sided_operators"):
+            operators = getattr(params, name)
+            assert getattr(params, name) is operators
+            for arr in operators:
+                assert not arr.flags.writeable
+
+
+class TestTwoSidedScan:
+    """The fused scan against scan(x) + scan(x[::-1])[::-1] built from its oracles."""
+
+    @pytest.mark.parametrize(
+        "length",
+        [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 1000],
+    )
+    def test_matches_two_sided_unrolled_kernel(self, length):
+        rng = np.random.default_rng(length + 1)
+        for n in range(1, 9):
+            params = random_params(rng, n)
+            x = rng.standard_normal(length)
+            kernel = unrolled_kernel_matrix(length, params)
+            oracle = kernel @ x + (kernel @ x[::-1])[::-1]
+            y = _scan_last_axis(x, params, two_sided=True)
+            np.testing.assert_allclose(y, oracle, rtol=1e-10, atol=1e-12)
+
+    def test_dense_kernel_matches_unrolled_loop(self):
+        rng = np.random.default_rng(41)
+        params = random_params(rng, 5)
+        x = rng.standard_normal(CHUNK + 3)
+        np.testing.assert_allclose(
+            unrolled_kernel_matrix(len(x), params) @ x,
+            unrolled_kernel_oracle(x, params),
+            rtol=1e-12,
+            atol=1e-14,
+        )
+
+    def test_slow_pole_matches_step_recurrence_both_ways(self):
+        params = SsmParams(a=[-0.05], b=[1.0], c=[1.0], d=0.0, delta=0.01)
+        x = np.random.default_rng(19).standard_normal(4096)
+        oracle = step_recurrence(x, params) + step_recurrence(x[::-1], params)[::-1]
+        y = _scan_last_axis(x, params, two_sided=True)
+        np.testing.assert_allclose(y, oracle, rtol=1e-10, atol=1e-12)
 
 
 class TestMultiDirectionScan:
@@ -247,7 +294,7 @@ class TestMultiDirectionScan:
                 acc = None
                 for k in range(2):
                     g = fm.data[b, c, indices.forward[k]]
-                    both = scan_sequence(g, params) + scan_sequence(g[::-1], params)[::-1]
+                    both = _scan_last_axis(g, params, two_sided=True)
                     restored = both[indices.inverse[k]]
                     acc = restored if acc is None else acc + restored
                 assert np.array_equal(out.data[b, c], acc)
@@ -265,7 +312,7 @@ class TestMultiDirectionScan:
                 acc = None
                 for k in range(2):
                     g = fm.data[b, c, indices.forward[k]]
-                    both = scan_sequence(g, params) + scan_sequence(g[::-1], params)[::-1]
+                    both = _scan_last_axis(g, params, two_sided=True)
                     restored = both[indices.inverse[k]]
                     acc = restored if acc is None else acc + restored
                 assert np.array_equal(out.data[b, c], acc)

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import bench
-from .hsic_gate import BranchPair, GateConfig, effective_projection_width, fuse_with_diagnostics
+from .hsic_gate import BranchPair, GateConfig, fuse_with_diagnostics
 from .mask_io import binarize, read_manifest, read_mask
 from .scan_order import GridShape, _require_int, build_cross_indices, build_topoa_indices
 from .topo_metrics import aggregate, topo_errors
@@ -210,7 +210,6 @@ def _cmd_gate_diag(args: argparse.Namespace) -> int:
         seed=seed,
     )
     _check_cells("b * c * l", batch * channels * length)
-    _check_cells("l * projection width", length * effective_projection_width(cfg.d_proj, length))
     rng = np.random.default_rng([seed & 0xFFFFFFFF, batch, channels, length])
     pair = BranchPair(
         f_cross=rng.standard_normal((batch, channels, length)),

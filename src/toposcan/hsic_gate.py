@@ -1,9 +1,9 @@
 """Dependence-gated fusion of two scan-branch feature maps.
 
 Per batch item, both branches are projected to a small descriptor per
-channel (seeded Gaussian random projection, then row normalization), RBF
-kernels with a shared median-heuristic bandwidth are built over the
-channel descriptors, and the dependence between branches is scored as
+channel (a seeded sign sketch, then row normalization), RBF kernels
+with a shared median-heuristic bandwidth are built over the channel
+descriptors, and the dependence between branches is scored as
 the normalized Frobenius inner product of the double-centered kernels.
 Each branch's distances come once from its Gram matrix, for the whole batch.
 A scalar sigmoid gate converts the score into a blend weight, and a
@@ -51,7 +51,7 @@ class GateConfig:
             trainable parameter in the original setting, fixed here).
         temperature: sigmoid temperature, finite and > 0.
         rho: residual weight in [0, 1] on the diagonal-scan branch.
-        seed: seed for the cached random projection.
+        seed: seed of the sign sketch that projects the descriptors.
     """
 
     d_proj: int = 64
@@ -119,51 +119,71 @@ def effective_projection_width(d_proj: int, length: int) -> int:
     return max(8, min(d_proj, length))
 
 
-# No lock: racing threads draw the same rows, so a race only repeats a draw.
-_PROJECTIONS: dict[tuple[int, int], np.ndarray] = {}
+# No lock: racing threads draw the same values, so a race only repeats a draw.
+_SKETCHES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def projection_matrix(length: int, width: int, seed: int = 0) -> np.ndarray:
-    """Cached (length, width) Gaussian projection with entries N(0,1)/sqrt(width).
+def _sketch(length: int, width: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column and sign of each of the first ``length`` positions.
 
-    The 1/sqrt(width) scaling makes projected squared norms unbiased, so
-    pairwise distances are preserved in expectation. The result is a
-    read-only view of the first ``length`` rows of one matrix per (width,
-    seed), so a shorter length gives bitwise the prefix of a longer one
-    and the same arguments always give bit-identical values.
+    One draw v = default_rng([seed mod 2^32, width]).integers(0, 2 * width)
+    per position gives the column v mod width and the sign +1 if v < width,
+    else -1. The draw is prefix-consistent, so the store keeps one read-only
+    (columns, signs) pair per (width, seed), as long as the longest length seen.
     """
     length, width = _require_int("length", length, 1), _require_int("width", width, 1)
     seed = _require_int("seed", seed)
-    master = _PROJECTIONS.get((width, seed))
-    if master is None or master.shape[0] < length:
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, width])
-        master = rng.standard_normal((length, width)) / np.sqrt(width)
-        master.setflags(write=False)
-        _PROJECTIONS[(width, seed)] = master
-    return master[:length]
+    stored = _SKETCHES.get((width, seed))
+    if stored is None or stored[0].shape[0] < length:
+        draw = np.random.default_rng([seed & 0xFFFFFFFF, width]).integers(0, 2 * width, length)
+        stored = (draw % width, np.where(draw < width, 1.0, -1.0))
+        for part in stored:
+            part.setflags(write=False)
+        _SKETCHES[(width, seed)] = stored
+    columns, signs = stored
+    return columns[:length], signs[:length]
 
 
-def project_and_normalize(features: np.ndarray, projection: np.ndarray) -> np.ndarray:
-    """Project channel rows and normalize each to unit length.
+def projection_matrix(length: int, width: int, seed: int = 0) -> np.ndarray:
+    """Dense (length, width) form of the gate's seeded sign sketch.
+
+    Row i holds one nonzero, the sign of position i in its column (see
+    :func:`project_and_normalize`); no 1/sqrt(width) scale is applied,
+    because squared norms are already unbiased. The matrix is built on
+    each call, read-only and C-contiguous; a shorter length gives bitwise
+    the prefix of a longer one, and the same arguments always give the
+    same matrix.
+    """
+    columns, signs = _sketch(length, width, seed)
+    dense = np.zeros((len(columns), width))
+    dense[np.arange(len(columns)), columns] = signs
+    dense.setflags(write=False)
+    return dense
+
+
+def project_and_normalize(features: np.ndarray, width: int, seed: int = 0) -> np.ndarray:
+    """Sketch channel rows to ``width`` entries and normalize each to unit length.
 
     Args:
         features: (..., channels, L) array.
-        projection: (L, k) matrix.
+        width: sketch width, at least 1.
+        seed: sketch seed.
 
     Returns:
-        (..., channels, k) descriptors: rows are (f @ P) / sqrt(L),
-        then scaled to unit L2 norm. Rows with norm below 1e-12 are
+        (..., channels, width) descriptors: rows are (f @ S) / sqrt(L) for
+        the seeded sign sketch S, ``projection_matrix(L, width, seed)``,
+        computed as one weighted ``np.bincount`` that adds sign * f to its
+        column, then scaled to unit L2 norm. Rows with norm below 1e-12 are
         left as zeros instead of being divided. The norm is taken of each
         row divided by a power of two near its largest magnitude, which is
         exact, so squaring cannot overflow however large the features are.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.shape[-1] != projection.shape[0]:
-        raise ValueError(
-            f"feature length {features.shape[-1]} does not match projection rows "
-            f"{projection.shape[0]}"
-        )
-    projected = (features @ projection) / np.sqrt(features.shape[-1])
+    columns, signs = _sketch(features.shape[-1], width, seed)
+    rows = math.prod(features.shape[:-1])
+    index = (np.arange(rows)[:, None] * width + columns).ravel()
+    sums = np.bincount(index, (features * signs).ravel(), minlength=rows * width)
+    projected = sums.reshape(*features.shape[:-1], width) / np.sqrt(features.shape[-1])
     _, exponent = np.frexp(np.max(np.abs(projected), axis=-1, keepdims=True))
     scaled = np.ldexp(projected, -exponent)
     scaled_norms = np.linalg.norm(scaled, axis=-1, keepdims=True)
@@ -275,9 +295,9 @@ def fuse_with_diagnostics(
     _, channels, length = pair.f_cross.shape
     if channels < 2:
         raise ValueError("gating needs at least 2 channels")
-    projection = projection_matrix(length, effective_projection_width(cfg.d_proj, length), cfg.seed)
-    dc = _sq_dists(project_and_normalize(pair.f_cross, projection))
-    dt = _sq_dists(project_and_normalize(pair.f_topoa, projection))
+    width = effective_projection_width(cfg.d_proj, length)
+    dc = _sq_dists(project_and_normalize(pair.f_cross, width, cfg.seed))
+    dt = _sq_dists(project_and_normalize(pair.f_topoa, width, cfg.seed))
     sigma_sq = _bandwidth(dc, dt)
     scores = _hsic(_rbf(dc, sigma_sq), _rbf(dt, sigma_sq))
     items = zip(scores.tolist(), sigma_sq.tolist())

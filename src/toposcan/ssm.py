@@ -285,7 +285,7 @@ def multi_direction_scan(
         raise ValueError(
             f"index shape {indices.shape} does not match feature map shape {x.shape}"
         )
-    g = x.data[..., indices.base]  # (B, C, 2, L)
+    g = np.take(x.data, indices.base, axis=-1)  # (B, C, 2, L)
     both = _scan_last_axis(g, params, two_sided=True)
     merged, rest = np.empty(x.data.shape), np.empty(x.data.shape)  # base rows are permutations
     merged[..., indices.base[0]] = both[..., 0, :]

@@ -69,6 +69,14 @@ class TestGateDiag:
         assert code == 1
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_long_rows_need_no_length_times_width_budget(self, capsys):
+        # l * 64 is over MAX_CELLS; the sketch allocates no (l, width) matrix.
+        code, out, err = run_cli(capsys, "gate", "diag", "--b", "1", "--c", "2", "--l", "300000")
+        assert code == 0
+        assert err == ""
+        (item,) = json.loads(out)
+        assert all(np.isfinite(item[name]) for name in ("hsic", "sigma_sq", "w"))
+
 
 class TestBench:
     def test_run_csv(self, capsys, tmp_path):
@@ -227,9 +235,9 @@ class TestCellBudget:
         "argv",
         [
             ("gate", "diag", "--b", "100000", "--c", "100000", "--l", "100000"),
-            # b * c * l is small; the (l, width) projection is not.
-            ("gate", "diag", "--c", "2", "--l", "1048576", "--d-proj", "1048576"),
-            ("gate", "diag", "--c", "2", "--l", str(MAX_CELLS // 8 + 1), "--d-proj", "8"),
+            # b * c * l one and two cells past the budget, however small the width.
+            ("gate", "diag", "--c", "97", "--l", str(257 * 673), "--d-proj", "8"),
+            ("gate", "diag", "--c", "2", "--l", str(MAX_CELLS // 2 + 1)),
             ("scan", "dump", "--h", "100000", "--w", "100000"),
             ("bench", "run", "--scenario", "fixed", "--batch", "100000", "--channels", "100000"),
         ],

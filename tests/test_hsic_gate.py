@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toposcan import (
+    FeatureMap,
+    GridShape,
+    build_cross_indices,
+    build_topoa_indices,
+    default_params,
+    multi_direction_scan,
+)
 from toposcan.hsic_gate import (
-    _PROJECTIONS,
+    _SKETCHES,
     BranchPair,
     GateConfig,
     _sq_dists,
@@ -50,9 +58,15 @@ def difference_bandwidth(xc, xt):
 
 
 def projection_reference(length, width, seed):
-    """A fresh (length, width) draw from the projection's documented generator."""
-    rng = np.random.default_rng([seed, width])
-    return rng.standard_normal((length, width)) / np.sqrt(width)
+    """The dense sign sketch of a fresh draw from its documented generator."""
+    draw = np.random.default_rng([seed, width]).integers(0, 2 * width, size=length)
+    dense = np.zeros((length, width))
+    dense[np.arange(length), draw % width] = np.where(draw < width, 1.0, -1.0)
+    return dense
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 def descriptor_cases():
@@ -68,25 +82,22 @@ def descriptor_cases():
 
 class TestProjection:
     def test_zero_rows_stay_zero(self):
-        p = projection_matrix(32, 8, seed=0)
-        out = project_and_normalize(np.zeros((1, 4, 32)), p)
+        out = project_and_normalize(np.zeros((1, 4, 32)), 8, seed=0)
         assert np.array_equal(out, np.zeros((1, 4, 8)))
         assert np.all(np.isfinite(out))
 
-    def test_one_hot_under_scaled_identity(self):
-        length = 16
-        p = np.eye(length) * 3.0
-        f = np.zeros((1, length))
-        f[0, 5] = 2.0
-        out = project_and_normalize(f, p)
-        expected = np.zeros(length)
-        expected[5] = 1.0
-        np.testing.assert_allclose(out[0], expected, atol=1e-15)
+    def test_one_hot_maps_to_its_signed_column(self):
+        length, width = 16, 8
+        p = projection_matrix(length, width, seed=3)
+        for position in range(length):
+            f = np.zeros((1, length))
+            f[0, position] = 2.0
+            out = project_and_normalize(f, width, seed=3)
+            assert np.array_equal(out[0], p[position])
 
     def test_rows_have_unit_norm(self):
         rng = np.random.default_rng(0)
-        p = projection_matrix(64, 16, seed=1)
-        out = project_and_normalize(rng.standard_normal((3, 5, 64)), p)
+        out = project_and_normalize(rng.standard_normal((3, 5, 64)), 16, seed=1)
         norms = np.linalg.norm(out, axis=-1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -121,12 +132,36 @@ class TestProjection:
             assert not p.flags.writeable
             assert p.flags.c_contiguous
 
-    def test_store_keeps_one_matrix_per_width_and_seed(self):
-        before = set(_PROJECTIONS)
+    def test_store_keeps_one_sketch_per_width_and_seed(self):
+        before = set(_SKETCHES)
         for length in range(1, 301):
             projection_matrix(length, 8, seed=77)
-        assert set(_PROJECTIONS) - before <= {(8, 77)}
-        assert _PROJECTIONS[(8, 77)].shape == (300, 8)
+            project_and_normalize(np.ones((2, length)), 8, seed=77)
+        assert set(_SKETCHES) - before <= {(8, 77)}
+        columns, signs = _SKETCHES[(8, 77)]
+        assert columns.shape == signs.shape == (300,)
+        assert not columns.flags.writeable and not signs.flags.writeable
+
+    @pytest.mark.parametrize(
+        "length, width, seed", [(1, 8, 0), (7, 8, 5), (300, 17, 2), (4096, 64, 0)]
+    )
+    def test_dense_sketch_has_one_sign_per_row(self, length, width, seed):
+        p = projection_matrix(length, width, seed)
+        assert p.shape == (length, width)
+        assert np.array_equal(np.count_nonzero(p, axis=1), np.ones(length))
+        assert np.array_equal(np.abs(p).sum(axis=1), np.ones(length))
+        assert not p.flags.writeable
+        assert p.flags.c_contiguous
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 255, 256, 16384])
+    def test_bincount_sketch_equals_dense_product(self, length):
+        width = effective_projection_width(64, length)
+        f = np.random.default_rng(length).standard_normal((2, 3, length))
+        reference = unit_rows(f @ projection_matrix(length, width, seed=6) / np.sqrt(length))
+        # Descriptor rows have unit norm, so atol is relative to the row.
+        np.testing.assert_allclose(
+            project_and_normalize(f, width, seed=6), reference, rtol=1e-12, atol=1e-12
+        )
 
     def test_threads_share_one_key(self):
         width, seed = 24, 4242
@@ -149,9 +184,12 @@ class TestProjection:
         for length, p in results:
             assert np.array_equal(p, reference[:length])
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            project_and_normalize(np.zeros((1, 2, 10)), projection_matrix(12, 8, 0))
+    @pytest.mark.parametrize(
+        "shape, width", [((1, 2, 0), 8), ((1, 2, 10), 0), ((1, 2, 10), 2.5), ((1, 2, 10), True)]
+    )
+    def test_rejects_empty_length_and_bad_width(self, shape, width):
+        with pytest.raises(ValueError, match="must be"):
+            project_and_normalize(np.zeros(shape), width)
 
     @pytest.mark.parametrize(
         "args", [(5, 8, 1.5), (2.5, 8), (5, 8.0), (0, 8), (5, 0), (5, 8, True)]
@@ -167,9 +205,8 @@ class TestProjection:
         # RuntimeWarning fails the test through the pytest configuration.
         rng = np.random.default_rng(8)
         f = rng.standard_normal((2, 6, 256))
-        p = projection_matrix(256, 64, seed=0)
-        big = project_and_normalize(f * scale, p)
-        np.testing.assert_allclose(big, project_and_normalize(f, p), rtol=1e-12, atol=0)
+        big = project_and_normalize(f * scale, 64)
+        np.testing.assert_allclose(big, project_and_normalize(f, 64), rtol=1e-12, atol=0)
         np.testing.assert_allclose(np.linalg.norm(big, axis=-1), 1.0, rtol=1e-12)
 
     def test_jl_preserves_distance_ordering(self):
@@ -189,6 +226,36 @@ class TestProjection:
         reduced = sq_dists(projected)
         corr = np.corrcoef(original, reduced)[0, 1]
         assert corr > 0.5
+
+    @pytest.mark.parametrize(
+        "side, channels, batch", [(128, 4, 16), (64, 8, 4), (32, 16, 2), (16, 32, 1), (8, 32, 1)]
+    )
+    def test_sketch_distorts_scan_descriptors_no_more_than_gaussian(self, side, channels, batch):
+        # Stage shapes of the forward, with enough items for about 200
+        # channel pairs per stage. Distances are between the gate's unit
+        # descriptors and between the unit rows they stand for.
+        rng = np.random.default_rng(side)
+        shape = GridShape(side, side)
+        x = FeatureMap(rng.standard_normal((batch, channels, shape.length)), shape)
+        stacks = np.stack([
+            multi_direction_scan(x, build(shape), default_params()).data
+            for build in (build_topoa_indices, build_cross_indices)
+        ])
+        width = effective_projection_width(64, shape.length)
+        gaussian = rng.standard_normal((shape.length, width))
+        upper = np.triu_indices(channels, k=1)
+
+        def dists(x):
+            return np.sqrt(_sq_dists(x))[(..., *upper)]
+
+        exact = dists(unit_rows(stacks))
+
+        def median_error(descriptors):
+            return np.median(np.abs(dists(descriptors) - exact) / exact)
+
+        sketch_error = median_error(project_and_normalize(stacks, width))
+        gaussian_error = median_error(unit_rows(stacks @ gaussian))
+        assert sketch_error <= 1.5 * gaussian_error
 
 
 class TestRbfKernel:
@@ -411,9 +478,9 @@ class TestFuse:
 
             fc, ft = stack(), stack()
             _, diags = fuse_with_diagnostics(BranchPair(f_cross=fc, f_topoa=ft), GateConfig())
-            p = projection_matrix(length, effective_projection_width(64, length), 0)
+            width = effective_projection_width(64, length)
             for item, diag in enumerate(diags):
-                xc, xt = (project_and_normalize(f[item], p) for f in (fc, ft))
+                xc, xt = (project_and_normalize(f[item], width) for f in (fc, ft))
                 sigma_sq = difference_bandwidth(xc, xt)
                 kc, kt = (np.exp(-difference_sq_dists(x) / (2 * sigma_sq)) for x in (xc, xt))
                 assert diag.sigma_sq == pytest.approx(sigma_sq, rel=1e-12)

@@ -363,6 +363,19 @@ class TestMultiDirectionScan:
             out = multi_direction_scan(fm, indices, passthrough_params())
             assert np.array_equal(out.data, 4.0 * fm.data)
 
+    @pytest.mark.parametrize("build", [build_topoa_indices, build_cross_indices])
+    def test_strided_feature_map_matches_its_contiguous_copy_bitwise(self, build):
+        rng = np.random.default_rng(41)
+        for shape in (GridShape(9, 15), GridShape(64, 48)):
+            view = rng.standard_normal((4, 5, 2 * shape.length))[::2, 1::2, ::2]
+            strided = FeatureMap(data=view, shape=shape)
+            assert not strided.data.flags.c_contiguous
+            copy = FeatureMap(data=np.ascontiguousarray(view), shape=shape)
+            pair = build(shape)
+            for params in (default_params(), random_params(rng, 3)):
+                out = multi_direction_scan(strided, pair, params)
+                assert np.array_equal(out.data, multi_direction_scan(copy, pair, params).data)
+
 
 class TestFeatureMap:
     def test_rejects_non_finite(self):

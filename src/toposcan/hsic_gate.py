@@ -74,7 +74,7 @@ class GateConfig:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BranchPair:
     """The two branch outputs to fuse, each shaped (batch, channels, L)."""
 

@@ -5,7 +5,9 @@ row-major (cell (i, j) gets index i*W + j):
 
 * the diagonal family: alternating main-diagonal and anti-diagonal
   traversals whose consecutive steps always land on 4- or 8-neighbors,
-  so adjacent step distances stay within {1, sqrt(2)};
+  so adjacent step distances stay within {1, sqrt(2)}. Each cell's rank in
+  the diagonal order is written in closed form, not sorted, and the
+  anti-diagonal order is its column mirror;
 * the axis-aligned family: row-major, column-major, and their reversals,
   the classic four-direction serialization of visual state-space models.
 
@@ -115,57 +117,53 @@ class IndexPair:
         return out
 
 
-def _diagonal_order(shape: GridShape, mirror_columns: bool) -> np.ndarray:
-    """Visit cells diagonal by diagonal, alternating direction per diagonal.
-
-    Cells are grouped by segment index s = i + j (or s = i + (W-1-j) when
-    ``mirror_columns`` is set, which turns main diagonals into
-    anti-diagonals). Within a segment, cells are ordered by increasing
-    row index i for even s and decreasing i for odd s; the alternation is
-    what keeps consecutive segments joined at 4-neighbors.
-    """
-    h, w = shape.height, shape.width
-    i = np.repeat(np.arange(h, dtype=np.int64), w)
-    j = np.tile(np.arange(w, dtype=np.int64), h)
-    jj = (w - 1 - j) if mirror_columns else j
-    segment = i + jj
-    row_key = np.where(segment % 2 == 1, -i, i)
-    # lexsort keys are (secondary, primary); cells are enumerated
-    # row-major, so the sorted positions are already flat indices.
-    return np.lexsort((row_key, segment)).astype(np.int64)
-
-
 def build_base_diagonal(shape: GridShape) -> np.ndarray:
     """Base diagonal order: segments s = i + j for s = 0 .. H+W-2.
 
-    Even segments are traversed top-to-bottom (increasing i), odd
-    segments bottom-to-top, and coordinates are flattened as i*W + j.
+    Segment s spans rows lo = max(s-W+1, 0) .. hi = min(s, H-1) and is
+    traversed top-to-bottom on even s, bottom-to-top on odd s, which joins
+    consecutive segments at 4-neighbors. No sort: each cell's rank is the
+    cell count of the earlier segments plus i - lo (even) or hi - i (odd).
 
     Returns:
         int64 array of length L, a permutation of 0 .. L-1.
     """
-    return _diagonal_order(shape, mirror_columns=False)
+    h, w = shape.height, shape.width
+    i, j = np.divmod(np.arange(shape.length, dtype=np.int64), w)
+    s = i + j
+    counts = np.bincount(s)
+    place = np.where(s % 2 == 0, i - np.maximum(s - w + 1, 0), np.minimum(s, h - 1) - i)
+    order = np.empty(shape.length, dtype=np.int64)
+    order[(np.cumsum(counts) - counts)[s] + place] = np.arange(shape.length)
+    return order
+
+
+def _reflect_columns(order: np.ndarray, width: int) -> np.ndarray:
+    """``order`` with every flat index i*W + j moved to i*W + (W-1-j)."""
+    return order + (width - 1) - 2 * (order % width)
 
 
 def build_base_antidiagonal(shape: GridShape) -> np.ndarray:
     """Base anti-diagonal order: segments group cells with equal i - j.
 
-    Equivalent to the base diagonal order of the column-reflected grid
-    (j -> W-1-j), re-expressed in the original grid's flat indices.
+    Built as the base diagonal order of the column-reflected grid: the
+    diagonal order with each index's column mirrored (j -> W-1-j).
 
     Returns:
         int64 array of length L, a permutation of 0 .. L-1.
     """
-    return _diagonal_order(shape, mirror_columns=True)
+    return _reflect_columns(build_base_diagonal(shape), shape.width)
 
 
 def build_topoa_indices(shape: GridShape) -> IndexPair:
     """Build the diagonal-family index pair for a grid.
 
-    Base rows: [diagonal, anti-diagonal]. The derived reversals flip the
-    completed length-L sequences, not the individual segments.
+    Base rows: [diagonal, anti-diagonal], the anti-diagonal mirrored from
+    the one diagonal built. The derived reversals flip the completed
+    length-L sequences, not the individual segments.
     """
-    return IndexPair(np.stack([build_base_diagonal(shape), build_base_antidiagonal(shape)]), shape)
+    diagonal = build_base_diagonal(shape)
+    return IndexPair(np.stack([diagonal, _reflect_columns(diagonal, shape.width)]), shape)
 
 
 def build_cross_indices(shape: GridShape) -> IndexPair:

@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SsmParams:
     """Diagonal state-space coefficients.
 
@@ -166,7 +166,7 @@ def passthrough_params() -> SsmParams:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Batch of multi-channel feature maps flattened row-major.
 

@@ -39,7 +39,24 @@ def four_row_reference(pair):
     return forward, inverse
 
 
+def lexsort_reference(shape, mirror_columns):
+    """Diagonal-family order by sorting: cells grouped by segment s = i + j
+    (s = i + (W-1-j) with ``mirror_columns``), then by increasing row on even
+    s and decreasing row on odd s. Cells are enumerated row-major, so the
+    sorted positions are already flat indices."""
+    h, w = shape.height, shape.width
+    i = np.repeat(np.arange(h, dtype=np.int64), w)
+    j = np.tile(np.arange(w, dtype=np.int64), h)
+    segment = i + ((w - 1 - j) if mirror_columns else j)
+    row_key = np.where(segment % 2 == 1, -i, i)
+    return np.lexsort((row_key, segment)).astype(np.int64)
+
+
 BUILDERS = [build_topoa_indices, build_cross_indices]
+
+REFERENCE_SHAPES = [GridShape(h, w) for h in range(1, 41) for w in range(1, 41)] + [
+    GridShape(h, w) for h, w in [(1, 300), (300, 1), (37, 5), (5, 37), (128, 17), (128, 128)]
+]
 
 
 class TestKnownVectors:
@@ -137,6 +154,25 @@ class TestStructure:
         pair = build_topoa_indices(GridShape(4, 4))
         with pytest.raises(ValueError):
             pair.forward[0, 0] = 7
+
+
+class TestClosedFormRank:
+    @pytest.mark.parametrize(
+        "build,mirror_columns",
+        [(build_base_diagonal, False), (build_base_antidiagonal, True)],
+        ids=["diagonal", "antidiagonal"],
+    )
+    def test_equals_lexsort_reference_bitwise(self, build, mirror_columns):
+        for shape in REFERENCE_SHAPES:
+            order = build(shape)
+            expected = lexsort_reference(shape, mirror_columns)
+            assert order.dtype == np.int64, shape
+            assert order.tobytes() == expected.tobytes(), shape
+
+    def test_topoa_base_stacks_the_public_builders(self):
+        for shape in REFERENCE_SHAPES:
+            expected = np.stack([build_base_diagonal(shape), build_base_antidiagonal(shape)])
+            assert np.array_equal(build_topoa_indices(shape).base, expected), shape
 
 
 class TestDerivedLayout:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from toposcan.hsic_gate import BranchPair
 from toposcan.scan_order import GridShape, build_cross_indices, build_topoa_indices
 from toposcan.ssm import (
     CHUNK,
@@ -385,3 +386,20 @@ class TestFeatureMap:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             FeatureMap(data=np.zeros((1, 1, 5)), shape=GridShape(2, 3))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        default_params,
+        lambda: FeatureMap(data=np.ones((1, 2, 6)), shape=GridShape(2, 3)),
+        lambda: BranchPair(f_cross=np.ones((1, 2, 6)), f_topoa=np.zeros((1, 2, 6))),
+    ],
+    ids=["SsmParams", "FeatureMap", "BranchPair"],
+)
+def test_array_holders_compare_by_identity_and_hash(make):
+    # Generated field equality over arrays would raise on the array's truth value.
+    first, second = make(), make()
+    assert first == first
+    assert first != second
+    assert len({first, second, first}) == 2

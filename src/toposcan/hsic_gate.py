@@ -177,8 +177,14 @@ def project_and_normalize(features: np.ndarray, width: int, seed: int = 0) -> np
         left as zeros instead of being divided. The norm is taken of each
         row divided by a power of two near its largest magnitude, which is
         exact, so squaring cannot overflow however large the features are.
+
+    Raises:
+        ValueError: for scalar features, an empty last axis, or a width that
+            is not an integer >= 1.
     """
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim < 1:
+        raise ValueError("features must be at least 1-D, got a scalar")
     columns, signs = _sketch(features.shape[-1], width, seed)
     rows = math.prod(features.shape[:-1])
     index = (np.arange(rows)[:, None] * width + columns).ravel()
@@ -207,9 +213,19 @@ def _rbf(sq_dists: np.ndarray, sigma_sq: float | np.ndarray) -> np.ndarray:
     return np.exp(-sq_dists / (2.0 * np.asarray(sigma_sq)[..., None, None]))
 
 
+# The median of the pooled upper-triangle entries of two (..., n, n) distance
+# stacks. Each stack is symmetric, its diagonal is exactly 0 and no entry is
+# negative, so the sorted whole matrices are the diagonal zeros, then every
+# upper entry twice: ranks k - 1 and k, k = diagonal + upper entries, are the
+# middle pair of the upper entries, or their one middle entry twice.
 def _bandwidth(dc: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    pooled = np.concatenate([d[(..., *np.triu_indices(d.shape[-1], k=1))] for d in (dc, dt)], -1)
-    return np.maximum(np.median(pooled, axis=-1), BANDWIDTH_FLOOR)
+    diagonal = dc.shape[-1] + dt.shape[-1]
+    pooled = np.concatenate([d.reshape(*d.shape[:-2], -1) for d in (dc, dt)], -1)
+    k = (pooled.shape[-1] + diagonal) // 2
+    middle = np.partition(pooled, (k - 1, k), axis=-1)[..., k - 1 : k + 1]
+    if (k - diagonal) % 2:  # an odd count: the middle entry alone, as np.median takes it
+        middle = middle[..., 1:]
+    return np.maximum(np.mean(middle, axis=-1), BANDWIDTH_FLOOR)
 
 
 def _hsic(kc: np.ndarray, kt: np.ndarray) -> np.ndarray:
@@ -226,11 +242,12 @@ def rbf_kernel(x: np.ndarray, sigma_sq: float) -> np.ndarray:
     The result is exactly symmetric with a unit diagonal.
 
     Raises:
-        ValueError: if sigma_sq <= 0 or x is not 2-D.
+        ValueError: if sigma_sq is not a real > 0 or x is not 2-D.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D descriptor matrix, got ndim={x.ndim}")
+    sigma_sq = _require_real("sigma_sq", sigma_sq)
     if not sigma_sq > 0:
         raise ValueError(f"sigma_sq must be > 0, got {sigma_sq}")
     return _rbf(_sq_dists(x), sigma_sq)
@@ -245,10 +262,12 @@ def median_bandwidth(xc: np.ndarray, xt: np.ndarray) -> float:
     produce a zero bandwidth.
 
     Raises:
-        ValueError: if either set has fewer than 2 rows.
+        ValueError: if either set is not 2-D or has fewer than 2 rows.
     """
     xc = np.asarray(xc, dtype=np.float64)
     xt = np.asarray(xt, dtype=np.float64)
+    if xc.ndim != 2 or xt.ndim != 2:
+        raise ValueError(f"expected 2-D descriptor matrices, got ndim={xc.ndim} and {xt.ndim}")
     if xc.shape[0] < 2 or xt.shape[0] < 2:
         raise ValueError("median bandwidth needs at least 2 descriptor rows per branch")
     return float(_bandwidth(_sq_dists(xc), _sq_dists(xt)))

@@ -18,6 +18,7 @@ four directions (base orders, then reversals) and their inverses are derived.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,7 @@ class IndexPair:
 
     ``forward`` and ``inverse`` derive the (4, L) matrices of the four
     directions on each call; rows 2 and 3 reverse rows 0 and 1.
+    ``axis_aligned`` is read from ``base`` once, on first use.
     """
 
     base: np.ndarray
@@ -100,6 +102,11 @@ class IndexPair:
             raise ValueError(f"shape must be a GridShape, got {self.shape!r}")
         _inverse_rows(self.base, (2, self.shape.length))  # the check; the inverse is dropped
         self.base.setflags(write=False)
+
+    @cached_property
+    def axis_aligned(self) -> bool:
+        """Whether the base rows are row-major then column-major order."""
+        return bool(np.array_equal(self.base, _axis_aligned_base(self.shape)))
 
     @property
     def forward(self) -> np.ndarray:
@@ -166,6 +173,12 @@ def build_topoa_indices(shape: GridShape) -> IndexPair:
     return IndexPair(np.stack([diagonal, _reflect_columns(diagonal, shape.width)]), shape)
 
 
+def _axis_aligned_base(shape: GridShape) -> np.ndarray:
+    """int64 (2, L) rows [row-major identity, column-major] of ``shape``."""
+    row_major = np.arange(shape.length, dtype=np.int64)
+    return np.stack([row_major, row_major.reshape(shape.height, shape.width).T.ravel()])
+
+
 def build_cross_indices(shape: GridShape) -> IndexPair:
     """Build the axis-aligned index pair for a grid.
 
@@ -173,10 +186,7 @@ def build_cross_indices(shape: GridShape) -> IndexPair:
     (i, j) by increasing j then i, emitting the row-major flat index
     i*W + j.
     """
-    h, w = shape.height, shape.width
-    row_major = np.arange(shape.length, dtype=np.int64)
-    col_major = row_major.reshape(h, w).T.ravel()
-    return IndexPair(np.stack([row_major, col_major]), shape)
+    return IndexPair(_axis_aligned_base(shape), shape)
 
 
 def adjacent_step_distances(order: np.ndarray, shape: GridShape) -> np.ndarray:

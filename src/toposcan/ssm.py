@@ -9,7 +9,9 @@ with zero-order-hold discretization a_bar = exp(delta * a) and
 b_bar = (exp(delta * a) - 1) / a * b. ``multi_direction_scan`` runs it
 along four directions as the forward and backward scans of an index
 pair's two base orders, scatters the results back through the same
-orders, and sums the restored maps as (r0 + r2) + (r1 + r3).
+orders, and sums the restored maps as (r0 + r2) + (r1 + r3). An
+axis-aligned pair's orders are the raster and its transpose, so it is
+gathered and restored by transposes instead, with bitwise the same sum.
 
 The scan is evaluated in chunks of ``CHUNK`` steps, the block
 decomposition of Mamba-2's state-space duality (Dao & Gu, 2024) applied
@@ -278,6 +280,12 @@ def multi_direction_scan(
     the base row it was gathered by; the restored maps sum in the order
     (r0 + r2) + (r1 + r3).
 
+    An axis-aligned pair (``indices.axis_aligned``) moves no index: its
+    base rows are the raster itself and its transpose, so the gather
+    copies the map and its (W, H) transpose, and the restore adds row 0
+    to row 1 transposed back. The result is bitwise that of the gather
+    and scatter through ``base``.
+
     Raises:
         ValueError: if ``indices.shape`` does not match the feature map.
     """
@@ -285,6 +293,18 @@ def multi_direction_scan(
         raise ValueError(
             f"index shape {indices.shape} does not match feature map shape {x.shape}"
         )
+    if indices.axis_aligned:
+        batch, channels, length = x.data.shape
+        h, w = x.shape.height, x.shape.width
+        g = np.empty((batch, channels, 2, length))
+        g[..., 0, :] = x.data
+        g.reshape(batch, channels, 2, w, h)[..., 1, :, :] = x.data.reshape(
+            batch, channels, h, w
+        ).swapaxes(-1, -2)
+        both = _scan_last_axis(g, params, two_sided=True)
+        columns = both[..., 1, :].reshape(batch, channels, w, h).swapaxes(-1, -2)
+        merged = both[..., 0, :].reshape(batch, channels, h, w) + columns
+        return FeatureMap(data=merged.reshape(batch, channels, length), shape=x.shape)
     g = np.take(x.data, indices.base, axis=-1)  # (B, C, 2, L)
     both = _scan_last_axis(g, params, two_sided=True)
     merged, rest = np.empty(x.data.shape), np.empty(x.data.shape)  # base rows are permutations

@@ -20,6 +20,7 @@ from toposcan.hsic_gate import (
     _SKETCHES,
     BranchPair,
     GateConfig,
+    _bandwidth,
     _sq_dists,
     effective_projection_width,
     fuse,
@@ -55,6 +56,13 @@ def difference_bandwidth(xc, xt):
     """Reference median heuristic over the pooled off-diagonal distances."""
     pooled = [difference_sq_dists(x)[np.triu_indices(x.shape[0], k=1)] for x in (xc, xt)]
     return max(float(np.median(np.concatenate(pooled))), 1e-12)
+
+
+def median_reference(dc, dt):
+    """Floored median of the pooled upper-triangle entries of two (..., n, n) stacks,
+    extracted by ``np.triu_indices`` and taken by ``np.median``."""
+    pooled = np.concatenate([d[(..., *np.triu_indices(d.shape[-1], k=1))] for d in (dc, dt)], -1)
+    return np.maximum(np.median(pooled, axis=-1), 1e-12)
 
 
 def projection_reference(length, width, seed):
@@ -185,7 +193,8 @@ class TestProjection:
             assert np.array_equal(p, reference[:length])
 
     @pytest.mark.parametrize(
-        "shape, width", [((1, 2, 0), 8), ((1, 2, 10), 0), ((1, 2, 10), 2.5), ((1, 2, 10), True)]
+        "shape, width",
+        [((1, 2, 0), 8), ((1, 2, 10), 0), ((1, 2, 10), 2.5), ((1, 2, 10), True), ((), 8)],
     )
     def test_rejects_empty_length_and_bad_width(self, shape, width):
         with pytest.raises(ValueError, match="must be"):
@@ -281,6 +290,11 @@ class TestRbfKernel:
         with pytest.raises(ValueError):
             rbf_kernel(np.zeros((2, 2)), 0.0)
 
+    @pytest.mark.parametrize("sigma_sq", ["a", None, True, [1.0]])
+    def test_rejects_non_real_bandwidth(self, sigma_sq):
+        with pytest.raises(ValueError, match="sigma_sq must be a real number"):
+            rbf_kernel(np.zeros((2, 2)), sigma_sq)
+
     @pytest.mark.parametrize("case", sorted(descriptor_cases()))
     def test_matches_difference_formula(self, case):
         x = descriptor_cases()[case]
@@ -344,6 +358,49 @@ class TestMedianBandwidth:
         expected = difference_bandwidth(xc, xt)
         assert median_bandwidth(xc, xt) == pytest.approx(expected, rel=1e-12)
         assert median_bandwidth(xt, xc) == median_bandwidth(xc, xt)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
+    def test_rejects_non_2d_descriptors(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            median_bandwidth(np.ones(shape), np.ones((3, 4)))
+        with pytest.raises(ValueError, match="2-D"):
+            median_bandwidth(np.ones((3, 4)), np.ones(shape))
+
+
+class TestBandwidthByPartition:
+    # Row counts (c, t) pool c(c-1)/2 + t(t-1)/2 distances: (2, 2) pools 2,
+    # (2, 4) 7, (3, 4) 9, (5, 5) 20, (2, 9) 37, (32, 32) 992.
+    COUNTS = [(2, 2), (2, 3), (2, 4), (3, 4), (4, 3), (5, 5), (2, 9), (7, 6), (32, 32)]
+
+    @pytest.mark.parametrize("c,t", COUNTS)
+    def test_median_bandwidth_equals_reference_bitwise(self, c, t):
+        rng = np.random.default_rng(c * 100 + t)
+        for _ in range(5):
+            xc, xt = rng.standard_normal((c, 5)), rng.standard_normal((t, 5))
+            expected = float(median_reference(_sq_dists(xc), _sq_dists(xt)))
+            assert median_bandwidth(xc, xt) == expected
+
+    @pytest.mark.parametrize("c,t", COUNTS)
+    def test_duplicate_rows_equal_reference_bitwise(self, c, t):
+        # Repeated rows put zeros off the diagonal, tied with the diagonal's.
+        rng = np.random.default_rng(c * 100 + t + 1)
+        for repeats in (1, 2, max(c, t)):
+            xc = rng.standard_normal((repeats, 4))[rng.integers(0, repeats, c)]
+            xt = rng.standard_normal((repeats, 4))[rng.integers(0, repeats, t)]
+            expected = float(median_reference(_sq_dists(xc), _sq_dists(xt)))
+            assert median_bandwidth(xc, xt) == expected
+
+    @pytest.mark.parametrize("channels", [2, 3, 4, 8, 16, 32])
+    def test_batch_equals_reference_bitwise(self, channels):
+        rng = np.random.default_rng(channels)
+        xc, xt = rng.standard_normal((2, 6, channels, 9))
+        xt[1] = xt[1, rng.integers(0, 2, channels)]  # one item with duplicate rows
+        dc, dt = _sq_dists(unit_rows(xc)), _sq_dists(unit_rows(xt))
+        got = _bandwidth(dc, dt)
+        assert got.shape == (6,)
+        assert np.array_equal(got, median_reference(dc, dt))
+        for item in range(6):
+            assert got[item] == _bandwidth(dc[item], dt[item])
 
 
 class TestHsicEstimate:

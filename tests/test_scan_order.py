@@ -1,5 +1,6 @@
 """Scan-order construction: known vectors, permutations, inverses, locality."""
 
+import dataclasses
 import json
 import math
 
@@ -228,6 +229,38 @@ class TestDerivedLayout:
         payload = {"h": h, "w": w, "forward": forward.tolist(), "inverse": inverse.tolist()}
         assert main(["scan", "dump", "--h", str(h), "--w", str(w), "--kind", kind]) == 0
         assert capsys.readouterr().out == json.dumps(payload) + "\n"
+
+
+class TestAxisAligned:
+    def test_hand_built_row_and_column_major_pair_is_axis_aligned(self):
+        for h, w in [(1, 1), (2, 3), (3, 2), (9, 15), (1, 7), (7, 1)]:
+            row_major = np.arange(h * w, dtype=np.int64)
+            col_major = row_major.reshape(h, w).T.ravel()
+            assert IndexPair(np.stack([row_major, col_major]), GridShape(h, w)).axis_aligned
+            assert build_cross_indices(GridShape(h, w)).axis_aligned
+
+    def test_swapped_rows_and_topoa_pairs_are_not(self):
+        # On an N x 1 grid both families' orders are the raster, so topoa is axis aligned there.
+        for h in range(1, 13):
+            for w in range(1, 13):
+                shape = GridShape(h, w)
+                cross = build_cross_indices(shape)
+                swapped = IndexPair(cross.base[::-1].copy(), shape)
+                topoa = build_topoa_indices(shape)
+                assert swapped.axis_aligned == (h == 1 or w == 1), (h, w)
+                assert topoa.axis_aligned == (w == 1), (h, w)
+                for pair in (swapped, topoa):
+                    forward, inverse = four_row_reference(pair)
+                    assert np.array_equal(pair.forward, forward), (h, w)
+                    assert np.array_equal(pair.inverse, inverse), (h, w)
+
+    def test_flag_is_computed_once_and_cannot_be_set(self):
+        pair = build_cross_indices(GridShape(4, 5))
+        assert "axis_aligned" not in vars(pair)
+        assert pair.axis_aligned is True
+        assert vars(pair)["axis_aligned"] is True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.axis_aligned = False
 
 
 class TestLocality:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from toposcan.hsic_gate import BranchPair
-from toposcan.scan_order import GridShape, build_cross_indices, build_topoa_indices
+from toposcan.scan_order import GridShape, IndexPair, build_cross_indices, build_topoa_indices
 from toposcan.ssm import (
     CHUNK,
     FeatureMap,
@@ -60,6 +60,17 @@ def gather_by_inverse_reference(fm, pair, params):
         both[index] = _scan_last_axis(g[index], params, two_sided=True)
     inverse = pair.inverse[:2]
     return both[..., 0, inverse[0]] + both[..., 1, inverse[1]]
+
+
+def scatter_through_base_reference(fm, pair, params):
+    """The general path: gather by ``np.take`` on the base rows, scan both ways,
+    scatter each row back through its base row into its own buffer, then add."""
+    g = np.take(fm.data, pair.base, axis=-1)
+    both = _scan_last_axis(g, params, two_sided=True)
+    merged, rest = np.empty(fm.data.shape), np.empty(fm.data.shape)
+    merged[..., pair.base[0]] = both[..., 0, :]
+    rest[..., pair.base[1]] = both[..., 1, :]
+    return merged + rest
 
 
 def random_params(rng, n):
@@ -376,6 +387,37 @@ class TestMultiDirectionScan:
             for params in (default_params(), random_params(rng, 3)):
                 out = multi_direction_scan(strided, pair, params)
                 assert np.array_equal(out.data, multi_direction_scan(copy, pair, params).data)
+
+
+class TestAxisAlignedPath:
+    SHAPES = [GridShape(h, w) for h in range(1, 13) for w in range(1, 13)] + [
+        GridShape(h, w) for h, w in [(9, 15), (1, 300), (300, 1), (128, 128)]
+    ]
+
+    def test_transposes_equal_the_scatter_through_base_bitwise(self):
+        # 9 x 15 pads its last chunk; 1 x 300 and 300 x 1 make the transpose trivial.
+        rng = np.random.default_rng(43)
+        for shape in self.SHAPES:
+            pair = build_cross_indices(shape)
+            assert pair.axis_aligned, shape
+            fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
+            for params in (default_params(), random_params(rng, 3)):
+                out = multi_direction_scan(fm, pair, params)
+                assert out.data.shape == fm.data.shape and out.data.flags.c_contiguous
+                assert np.array_equal(out.data, scatter_through_base_reference(fm, pair, params))
+
+    def test_other_pairs_keep_the_scatter_through_base(self):
+        # Swapped axis-aligned rows and the diagonal family are not axis aligned
+        # (on grids at least 2 by 2); they must still scan to the reference.
+        rng = np.random.default_rng(47)
+        for shape in (GridShape(2, 3), GridShape(9, 15), GridShape(64, 48)):
+            swapped = IndexPair(build_cross_indices(shape).base[::-1].copy(), shape)
+            fm = FeatureMap(data=rng.standard_normal((3, 2, shape.length)), shape=shape)
+            for pair in (swapped, build_topoa_indices(shape)):
+                assert not pair.axis_aligned, shape
+                out = multi_direction_scan(fm, pair, default_params())
+                ref = scatter_through_base_reference(fm, pair, default_params())
+                assert np.array_equal(out.data, ref), shape
 
 
 class TestFeatureMap:

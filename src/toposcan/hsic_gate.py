@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .scan_order import _require_int, _require_real
+from .scan_order import _require_instance, _require_int, _require_real
 
 __all__ = [
     "GateConfig",
@@ -115,8 +115,12 @@ class GateDiagnostics:
 
 
 def effective_projection_width(d_proj: int, length: int) -> int:
-    """Projection width actually used: max(8, min(d_proj, length))."""
-    return max(8, min(d_proj, length))
+    """Projection width actually used: max(8, min(d_proj, length)).
+
+    Raises:
+        ValueError: unless both arguments are integers >= 1.
+    """
+    return max(8, min(_require_int("d_proj", d_proj, 1), _require_int("length", length, 1)))
 
 
 # No lock: racing threads draw the same values, so a race only repeats a draw.
@@ -295,7 +299,13 @@ def hsic_estimate(kc: np.ndarray, kt: np.ndarray) -> float:
 
 
 def gate_weight(hsic: float, cfg: GateConfig) -> float:
-    """Sigmoid gate w = sigmoid(alpha * hsic / temperature), in (0, 1)."""
+    """Sigmoid gate w = sigmoid(alpha * hsic / temperature), in (0, 1).
+
+    Raises:
+        ValueError: if ``hsic`` is not a real number or ``cfg`` not a :class:`GateConfig`.
+    """
+    hsic = _require_real("hsic", hsic)
+    _require_instance("cfg", cfg, GateConfig)
     return float(expit(cfg.alpha * hsic / cfg.temperature))
 
 
@@ -309,8 +319,14 @@ def fuse_with_diagnostics(
     alone. Larger scores weight the diagonal-scan branch more inside the
     convex blend; the residual shortcut then mixes that branch back in
     with weight rho, making the rule intentionally asymmetric.
+
+    Raises:
+        ValueError: if ``pair`` is not a :class:`BranchPair`, ``cfg`` is
+            neither None nor a :class:`GateConfig`, or there are fewer than
+            2 channels.
     """
-    cfg = GateConfig() if cfg is None else cfg
+    _require_instance("pair", pair, BranchPair)
+    cfg = GateConfig() if cfg is None else _require_instance("cfg", cfg, GateConfig)
     _, channels, length = pair.f_cross.shape
     if channels < 2:
         raise ValueError("gating needs at least 2 channels")

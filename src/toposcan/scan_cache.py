@@ -17,7 +17,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .scan_order import GridShape, IndexPair, _require_int, build_topoa_indices
+from .scan_order import GridShape, IndexPair, _require_instance, _require_int, build_topoa_indices
 
 __all__ = ["CacheKey", "CacheStats", "ScanCache"]
 
@@ -126,7 +126,11 @@ class ScanCache:
         that build runs wait for it and count as hits. If the build
         raises, every waiter gets the same exception and nothing is
         retained, so the next request builds again.
+
+        Raises:
+            ValueError: if ``key`` is not a :class:`CacheKey`.
         """
+        _require_instance("key", key, CacheKey)
         start = time.perf_counter()
         with self._lock:
             self._stats.requests += 1

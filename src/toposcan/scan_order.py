@@ -17,7 +17,7 @@ four directions (base orders, then reversals) and their inverses are derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,6 +48,13 @@ def _require_real(name: str, value: object) -> float:
     if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _require_instance(name: str, value: object, cls: type) -> object:
+    """``value`` unchanged if it is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,11 @@ class IndexPair:
 
     ``base`` rows are the diagonal and anti-diagonal (diagonal family) or
     row- and column-major order (axis-aligned family), must permute
-    0 .. L-1, and are the only array stored: int64 (2, L), read-only.
-    Equality is identity, so pairs are hashable.
+    0 .. L-1, and are stored as int64 (2, L), read-only. When ``base[1]``
+    is the column mirror of ``base[0]`` (the diagonal family), the pair
+    also keeps ``mirror_rank``, the read-only int64 (L,) inverse of
+    ``base[0]``: each cell's rank in the first order. Otherwise it is
+    None. Equality is identity, so pairs are hashable.
 
     ``forward`` and ``inverse`` derive the (4, L) matrices of the four
     directions on each call; rows 2 and 3 reverse rows 0 and 1.
@@ -96,12 +106,19 @@ class IndexPair:
 
     base: np.ndarray
     shape: GridShape
+    mirror_rank: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shape, GridShape):
-            raise ValueError(f"shape must be a GridShape, got {self.shape!r}")
-        _inverse_rows(self.base, (2, self.shape.length))  # the check; the inverse is dropped
+        _require_instance("shape", self.shape, GridShape)
+        inverse = _inverse_rows(self.base, (2, self.shape.length))
         self.base.setflags(write=False)
+        grid = (2, self.shape.height, self.shape.width)
+        # base[1] mirrors base[0] exactly when each cell's rank in row 1 is
+        # its column mirror's rank in row 0.
+        if np.array_equal(inverse.reshape(grid)[0], inverse.reshape(grid)[1, :, ::-1]):
+            rank = inverse[0].copy()  # not a view that keeps both rows alive
+            rank.setflags(write=False)
+            object.__setattr__(self, "mirror_rank", rank)
 
     @cached_property
     def axis_aligned(self) -> bool:

@@ -11,16 +11,22 @@ along four directions as the forward and backward scans of an index
 pair's two base orders, scatters the results back through the same
 orders, and sums the restored maps as (r0 + r2) + (r1 + r3). An
 axis-aligned pair's orders are the raster and its transpose, so it is
-gathered and restored by transposes instead, with bitwise the same sum.
+gathered and restored by transposes instead. A mirrored pair's second
+order is the column mirror of its first (the diagonal family), so both
+results are restored by one gather through the first order's rank, with
+the second flipped back by columns. Both give bitwise the scatter's sum.
 
 The scan is evaluated in chunks of ``CHUNK`` steps, the block
 decomposition of Mamba-2's state-space duality (Dao & Gu, 2024) applied
 to the diagonal system of S4 (Gu et al., 2022). Within a chunk, one
 matrix product applies the lower-triangular kernel
 K[t, s] = sum_n c a_bar^(t-s) b_bar (with d on the diagonal) and yields
-each chunk's end states. A first-order filter with decay a_bar^CHUNK
-carries the states across chunk ends, and a second product adds their
-effect to each chunk. The modal (per-state) form is kept: one order-N
+each chunk's end states. The states are carried across chunk ends by the
+same chunked form one level up: per block of 8 chunk ends, one product
+runs the first-order recurrence with the per-chunk decay q = a_bar^CHUNK,
+the block ends are carried the same way with decay q^8, and so on until
+at most 8 remain. A second product adds the carried states' effect to
+each chunk. The modal (per-state) form is kept: one order-N
 direct-form filter with denominator poly(a_bar) loses accuracy as N
 grows.
 
@@ -39,12 +45,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .scan_order import GridShape, IndexPair, _require_real
+from .scan_order import GridShape, IndexPair, _require_instance, _require_real
 
 CHUNK = 64
 """Steps per chunk of the chunked scan."""
+
+_CARRY_BLOCK = 8  # chunk states carried per product, at every level
 
 __all__ = [
     "CHUNK",
@@ -99,15 +106,15 @@ class SsmParams:
         return self.a.shape[0]
 
     @cached_property
-    def _chunk_operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (step, decay, carry) operators of the causal chunked scan.
+    def _chunk_operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (step, carry) operators of the causal chunked scan.
 
         ``step`` is (CHUNK, CHUNK + N). Its first CHUNK columns hold the
         transposed in-chunk kernel, step[s, t] = sum_n c a_bar^(t-s) b_bar
         for t >= s plus d on the diagonal; its last N columns hold
         a_bar^(CHUNK-1-s) b_bar, which give a chunk's end states.
-        ``decay`` is a_bar^CHUNK, and ``carry`` is (N, CHUNK) with entries
-        c a_bar^(t+1): the response inside a chunk to the incoming state.
+        ``carry`` is (N, CHUNK) with entries c a_bar^(t+1): the response
+        inside a chunk to the incoming state.
         """
         a_bar, b_bar = discretize(self)
         powers = a_bar ** np.arange(CHUNK + 1)[:, None]  # (CHUNK + 1, N)
@@ -118,32 +125,63 @@ class SsmParams:
         step[:, :CHUNK] = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
         step[t, t] += self.d
         step[:, CHUNK:] = powers[CHUNK - 1 - t] * b_bar
-        decay = powers[CHUNK]
         carry = (powers[1:] * self.c).T
-        for arr in (step, decay, carry):
+        for arr in (step, carry):
             arr.setflags(write=False)
-        return step, decay, carry
+        return step, carry
 
     @cached_property
-    def _two_sided_operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (step, decay, carry) operators of the two-sided chunked scan.
+    def _two_sided_operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (step, carry) operators of the two-sided chunked scan.
 
         ``step`` is (CHUNK, CHUNK + 2N): the symmetric kernel
         step[s, t] = sum_n c a_bar^|t-s| b_bar, whose diagonal counts the
         causal and anti-causal kernels and d once each, then the causal
         end-state columns a_bar^(CHUNK-1-s) b_bar and the anti-causal
-        start-state columns a_bar^s b_bar. ``decay`` is the causal one.
-        ``carry`` is (2N, CHUNK): the causal rows c a_bar^(t+1) over the
+        start-state columns a_bar^s b_bar. ``carry`` is (2N, CHUNK): the causal rows c a_bar^(t+1) over the
         anti-causal rows c a_bar^(CHUNK-t), the response inside a chunk to
         the state entering from the chunk before it and after it.
         """
-        causal, decay, carry = self._chunk_operators
+        causal, carry = self._chunk_operators
         kernel = causal[:, :CHUNK]
         step = np.concatenate([kernel + kernel.T, causal[:, CHUNK:], causal[::-1, CHUNK:]], axis=1)
         carry = np.concatenate([carry, carry[:, ::-1]])
         for arr in (step, carry):
             arr.setflags(write=False)
-        return step, decay, carry
+        return step, carry
+
+    @cached_property
+    def _carry_store(self) -> dict[tuple[bool, int], tuple[np.ndarray, np.ndarray]]:
+        return {}
+
+    def _carry_operators(self, two_sided: bool, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (block, entry) operators that carry chunk states at ``level``.
+
+        Level 0 carries chunk states with the per-chunk decay q = a_bar^CHUNK,
+        one per state (S = N) or, two-sided, twice (S = 2N); level k carries
+        the block ends of level k - 1 with q^(8^k). ``block`` is (8S, 8S)
+        with block[(u, s), (t, s)] = q_s^(t-u) for t >= u and 0 elsewhere:
+        the recurrence over 8 steps from a zero state. ``entry`` is (S, 8S)
+        with entry[s, (t, s)] = q_s^(t+1) and 0 elsewhere: the response to
+        the state entering a block. Each level is built once; racing
+        threads build the same values.
+        """
+        operators = self._carry_store.get((two_sided, level))
+        if operators is None:
+            a_bar = np.tile(discretize(self)[0], 2 if two_sided else 1)
+            decay = a_bar ** (CHUNK * _CARRY_BLOCK**level)
+            powers = decay ** np.arange(_CARRY_BLOCK + 1)[:, None]  # (9, S)
+            t = np.arange(_CARRY_BLOCK)
+            lag = t[None, :] - t[:, None]  # [u, t]
+            kernel = np.where((lag >= 0)[..., None], powers[np.maximum(lag, 0)], 0.0)
+            eye = np.eye(decay.shape[0])  # [s, s']
+            block = (kernel[:, None] * eye[None, :, None]).reshape(-1, _CARRY_BLOCK * len(eye))
+            entry = (powers[1:] * eye[:, None]).reshape(len(eye), -1)
+            operators = (block, entry)
+            for arr in operators:
+                arr.setflags(write=False)
+            self._carry_store[(two_sided, level)] = operators
+        return operators
 
 
 def default_params() -> SsmParams:
@@ -180,6 +218,7 @@ class FeatureMap:
     shape: GridShape
 
     def __post_init__(self) -> None:
+        _require_instance("shape", self.shape, GridShape)
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 3:
             raise ValueError(f"data must be 3-D (batch, channels, length), got ndim={data.ndim}")
@@ -213,10 +252,26 @@ def discretize(params: SsmParams) -> tuple[np.ndarray, np.ndarray]:
     return a_bar, b_bar
 
 
-def _carry_states(states: np.ndarray, decay: np.ndarray, out: np.ndarray) -> None:
-    """Write h[j] = decay * h[j-1] + states[j], run along axis 1, into ``out``."""
-    for n in range(decay.shape[0]):
-        out[..., n] = lfilter([1.0], [1.0, -decay[n]], states[..., n], axis=-1)
+def _carry_states(
+    states: np.ndarray, params: SsmParams, two_sided: bool, level: int = 0
+) -> np.ndarray:
+    """h[j] = q * h[j-1] + states[:, j] (h[-1] = 0) of a (rows, m, S) array,
+    with q the decay of ``level`` (see ``SsmParams._carry_operators``).
+
+    One product per sequence and block of 8 steps runs the recurrence from
+    a zero state; the block ends, carried by this same function one level
+    up, then enter each later block by one more product.
+    """
+    block, entry = params._carry_operators(two_sided, level)
+    rows, m, s = states.shape
+    blocks = -(-m // _CARRY_BLOCK)
+    if blocks * _CARRY_BLOCK != m:
+        states = np.concatenate([states, np.zeros((rows, blocks * _CARRY_BLOCK - m, s))], axis=1)
+    out = states.reshape(rows, blocks, _CARRY_BLOCK * s) @ block
+    if blocks > 1:
+        ends = np.ascontiguousarray(out[:, :-1, -s:])
+        out[:, 1:] += _carry_states(ends, params, two_sided, level + 1) @ entry
+    return out.reshape(rows, blocks * _CARRY_BLOCK, s)[:, :m]
 
 
 def _scan_last_axis(data: np.ndarray, params: SsmParams, two_sided: bool = False) -> np.ndarray:
@@ -231,7 +286,7 @@ def _scan_last_axis(data: np.ndarray, params: SsmParams, two_sided: bool = False
     *lead, length = data.shape
     if data.size == 0:
         return np.zeros(data.shape)
-    step, decay, carry = params._two_sided_operators if two_sided else params._chunk_operators
+    step, carry = params._two_sided_operators if two_sided else params._chunk_operators
     n = params.state_dim
     chunks = -(-length // CHUNK)
     if chunks * CHUNK != length:
@@ -242,10 +297,16 @@ def _scan_last_axis(data: np.ndarray, params: SsmParams, two_sided: bool = False
     # The states entering each chunk from the chunk before it (and, two-sided, after it).
     entering = np.zeros((out.shape[0], chunks, carry.shape[0]))
     if chunks > 1:
-        _carry_states(out[:, :-1, CHUNK : CHUNK + n], decay, entering[:, 1:, :n])
+        # Forward end states, then backward start states in reverse chunk
+        # order; zero end padding adds nothing to a state carried backward.
+        states = np.empty((out.shape[0], chunks - 1, carry.shape[0]))
+        states[..., :n] = out[:, :-1, CHUNK : CHUNK + n]
         if two_sided:
-            # Zero end padding adds nothing to a state carried backward.
-            _carry_states(out[:, :0:-1, CHUNK + n :], decay, entering[:, -2::-1, n:])
+            states[..., n:] = out[:, :0:-1, CHUNK + n :]
+        carried = _carry_states(states, params, two_sided)
+        entering[:, 1:, :n] = carried[..., :n]
+        if two_sided:
+            entering[:, :-1, n:] = carried[:, ::-1, n:]
     y = entering @ carry
     y += out[..., :CHUNK]
     return y.reshape(*lead, chunks * CHUNK)[..., :length]
@@ -283,12 +344,19 @@ def multi_direction_scan(
     An axis-aligned pair (``indices.axis_aligned``) moves no index: its
     base rows are the raster itself and its transpose, so the gather
     copies the map and its (W, H) transpose, and the restore adds row 0
-    to row 1 transposed back. The result is bitwise that of the gather
-    and scatter through ``base``.
+    to row 1 transposed back. A mirrored pair (``indices.mirror_rank``
+    set) restores both rows by one gather through that rank: row 0 comes
+    back in raster order, row 1 in column-mirrored raster order, so its
+    columns are flipped back before the add. Both results are bitwise
+    those of the gather and scatter through ``base``.
 
     Raises:
-        ValueError: if ``indices.shape`` does not match the feature map.
+        ValueError: if an argument is not of its annotated type, or
+            ``indices.shape`` does not match the feature map.
     """
+    _require_instance("x", x, FeatureMap)
+    _require_instance("indices", indices, IndexPair)
+    _require_instance("params", params, SsmParams)
     if indices.shape != x.shape:
         raise ValueError(
             f"index shape {indices.shape} does not match feature map shape {x.shape}"
@@ -307,6 +375,11 @@ def multi_direction_scan(
         return FeatureMap(data=merged.reshape(batch, channels, length), shape=x.shape)
     g = np.take(x.data, indices.base, axis=-1)  # (B, C, 2, L)
     both = _scan_last_axis(g, params, two_sided=True)
+    if indices.mirror_rank is not None:
+        r = np.take(both, indices.mirror_rank, axis=-1)  # row 1 in column-mirrored raster order
+        grid = (*x.data.shape[:2], x.shape.height, x.shape.width)
+        merged = r[..., 0, :].reshape(grid) + r[..., 1, :].reshape(grid)[..., ::-1]
+        return FeatureMap(data=merged.reshape(x.data.shape), shape=x.shape)
     merged, rest = np.empty(x.data.shape), np.empty(x.data.shape)  # base rows are permutations
     merged[..., indices.base[0]] = both[..., 0, :]
     rest[..., indices.base[1]] = both[..., 1, :]

@@ -1,11 +1,27 @@
-"""Export lists: every public name a module declares must exist."""
+"""Export lists: every public name a module declares must exist, and
+wrong-typed arguments to public entry points raise ValueError."""
 
 import importlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import toposcan
+from toposcan import (
+    BranchPair,
+    FeatureMap,
+    GateConfig,
+    GridShape,
+    ScanCache,
+    build_topoa_indices,
+    default_params,
+    fuse,
+    fuse_with_diagnostics,
+    gate_weight,
+    multi_direction_scan,
+)
+from toposcan.hsic_gate import effective_projection_width
 
 MODULES = sorted(
     f"toposcan.{info.name}" for info in pkgutil.iter_modules(toposcan.__path__)
@@ -19,3 +35,30 @@ def test_every_exported_name_resolves(module_name):
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names undefined {missing}"
     assert len(set(exported)) == len(exported), f"{module_name}.__all__ repeats a name"
+
+
+
+DATA = np.ones((1, 2, 6))
+FM = FeatureMap(DATA, GridShape(2, 3))
+PAIR = build_topoa_indices(GridShape(2, 3))
+BRANCHES = BranchPair(f_cross=DATA, f_topoa=DATA)
+
+WRONG_TYPED_CALLS = {
+    "FeatureMap-shape-tuple": lambda: FeatureMap(DATA, (2, 3)),
+    "multi_direction_scan-indices-tuple": lambda: multi_direction_scan(
+        FM, (1, 2), default_params()
+    ),
+    "multi_direction_scan-params-None": lambda: multi_direction_scan(FM, PAIR, None),
+    "get_or_build-key-tuple": lambda: ScanCache().get_or_build((2, 2)),
+    "fuse-cfg-dict": lambda: fuse(BRANCHES, {"rho": 0.1}),
+    "fuse_with_diagnostics-pair-tuple": lambda: fuse_with_diagnostics((DATA, DATA)),
+    "gate_weight-cfg-None": lambda: gate_weight(0.1, None),
+    "gate_weight-hsic-str": lambda: gate_weight("a", GateConfig()),
+    "effective_projection_width-d_proj-str": lambda: effective_projection_width("a", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPED_CALLS))
+def test_wrong_typed_arguments_raise_value_error(case):
+    with pytest.raises(ValueError, match="must be"):
+        WRONG_TYPED_CALLS[case]()

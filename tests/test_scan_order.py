@@ -188,15 +188,36 @@ class TestDerivedLayout:
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_stores_only_frozen_int64_base(self, build):
+        # base, plus the first order's rank row for mirrored (diagonal-family) pairs only.
         shape = GridShape(5, 7)
         pair = build(shape)
+        mirrored = build is build_topoa_indices
         stored = {k: v for k, v in vars(pair).items() if isinstance(v, np.ndarray)}
-        assert set(stored) == {"base"}
+        assert set(stored) == ({"base", "mirror_rank"} if mirrored else {"base"})
         assert pair.base.dtype == np.int64
         assert pair.base.shape == (2, shape.length)
-        assert not pair.base.flags.writeable
-        with pytest.raises(ValueError):
-            pair.base[0, 0] = 1
+        for arr in stored.values():
+            assert arr.dtype == np.int64 and arr.base is None
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+        if mirrored:
+            assert pair.mirror_rank.shape == (shape.length,)
+            assert np.array_equal(pair.mirror_rank, pair.inverse[0])
+        else:
+            assert pair.mirror_rank is None
+
+    def test_mirror_rank_is_kept_for_column_mirrored_pairs_only(self):
+        for h in range(1, 9):
+            for w in range(1, 9):
+                shape = GridShape(h, w)
+                diagonal = build_base_diagonal(shape)
+                mirrored = IndexPair(np.stack([diagonal, build_base_antidiagonal(shape)]), shape)
+                assert np.array_equal(mirrored.mirror_rank, mirrored.inverse[0]), (h, w)
+                swapped = IndexPair(mirrored.base[::-1].copy(), shape)  # also mirrored
+                assert np.array_equal(swapped.mirror_rank, swapped.inverse[0]), (h, w)
+                cross = build_cross_indices(shape)
+                assert (cross.mirror_rank is None) == (w > 1), (h, w)
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_derived_arrays_are_read_only(self, build):

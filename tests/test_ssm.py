@@ -1,6 +1,9 @@
 """Recurrence correctness against closed forms and the unrolled-kernel oracle."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +53,17 @@ def unrolled_kernel_matrix(length, params):
     lag = np.subtract.outer(np.arange(length), np.arange(length))
     impulse = (a_bar ** np.arange(length)[:, None] * b_bar) @ params.c
     return np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0) + params.d * np.eye(length)
+
+
+def unrolled_kernel_convolution(x, params):
+    """The unrolled kernel applied as a direct convolution: (K @ x)[t] = sum_s K[t - s] x[s].
+
+    Same kernel as ``unrolled_kernel_matrix`` without its (T, T) matrix, for
+    sequences too long for either that matrix or the Python loop.
+    """
+    a_bar, b_bar = discretize(params)
+    impulse = (a_bar ** np.arange(len(x))[:, None] * b_bar) @ params.c
+    return np.convolve(x, impulse)[: len(x)] + params.d * x
 
 
 def gather_by_inverse_reference(fm, pair, params):
@@ -261,6 +275,65 @@ class TestTwoSidedScan:
         np.testing.assert_allclose(y, oracle, rtol=1e-10, atol=1e-12)
 
 
+class TestChunkStateCarry:
+    """Chunk counts around the carry's blocks of 8 chunk states and its levels:
+    no carry (1 chunk), one block (2, 8, 9), two levels (64, 65), three (74, 8^3 + 2)."""
+
+    CHUNK_COUNTS = [1, 2, 8, 9, 64, 65, 74, 8**3 + 2]
+    # a = -1e-4 decays by exp(-6.4e-4) ~ 0.9994 per chunk, so states carry
+    # across every chunk end; the faster states decay within a few chunks.
+    SLOW = SsmParams(
+        a=[-1e-4, -0.3, -2.0], b=[1.0, 0.5, -1.0], c=[1.0, -2.0, 0.5], d=0.25, delta=0.1
+    )
+
+    def test_convolution_is_the_unrolled_kernel(self):
+        x = np.random.default_rng(53).standard_normal(2 * CHUNK + 7)
+        for params in (self.SLOW, default_params()):
+            np.testing.assert_allclose(
+                unrolled_kernel_convolution(x, params),
+                unrolled_kernel_oracle(x, params),
+                rtol=1e-12,
+                atol=1e-14,
+            )
+
+    @pytest.mark.parametrize("chunks", CHUNK_COUNTS)
+    def test_matches_unrolled_kernel_one_and_two_sided(self, chunks):
+        # A length 5 short of whole chunks pads the last chunk.
+        rng = np.random.default_rng(chunks)
+        x = rng.standard_normal(chunks * CHUNK - 5)
+        for params in (self.SLOW, random_params(rng, 4)):
+            forward = unrolled_kernel_convolution(x, params)
+            backward = unrolled_kernel_convolution(x[::-1], params)[::-1]
+            np.testing.assert_allclose(scan_sequence(x, params), forward, rtol=1e-10, atol=1e-12)
+            two_sided = _scan_last_axis(x, params, two_sided=True)
+            np.testing.assert_allclose(two_sided, forward + backward, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("chunks", CHUNK_COUNTS)
+    def test_batched_rows_equal_one_dimensional_scans_bitwise(self, chunks):
+        rng = np.random.default_rng(chunks + 7)
+        x = rng.standard_normal((3, 2, chunks * CHUNK - 5))
+        for two_sided in (False, True):
+            batched = _scan_last_axis(x, self.SLOW, two_sided=two_sided)
+            for index in np.ndindex(x.shape[:-1]):
+                alone = _scan_last_axis(x[index], self.SLOW, two_sided=two_sided)
+                assert np.array_equal(batched[index], alone), (index, two_sided)
+
+    def test_carry_operators_are_cached_and_read_only(self):
+        params = random_params(np.random.default_rng(59), 3)
+        for two_sided in (False, True):
+            for level in range(3):
+                operators = params._carry_operators(two_sided, level)
+                assert params._carry_operators(two_sided, level) is operators
+                for arr in operators:
+                    assert not arr.flags.writeable
+
+
+def test_importing_the_package_leaves_scipy_signal_unloaded():
+    code = "import sys, toposcan; sys.exit('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestMultiDirectionScan:
     def test_passthrough_returns_four_times_input(self):
         rng = np.random.default_rng(5)
@@ -418,6 +491,25 @@ class TestAxisAlignedPath:
                 out = multi_direction_scan(fm, pair, default_params())
                 ref = scatter_through_base_reference(fm, pair, default_params())
                 assert np.array_equal(out.data, ref), shape
+
+
+class TestMirrorRankPath:
+    # The four fixed_warm stage shapes, a padded last chunk, and single-row
+    # and single-column grids (a 300 x 1 topoa pair is axis aligned instead).
+    SHAPES = [GridShape(s, s) for s in (128, 64, 32, 16)] + [
+        GridShape(h, w) for h, w in [(9, 15), (1, 300), (300, 1)]
+    ]
+
+    def test_rank_restore_equals_the_scatter_through_base_bitwise(self):
+        rng = np.random.default_rng(61)
+        for shape in self.SHAPES:
+            pair = build_topoa_indices(shape)
+            assert pair.mirror_rank is not None, shape
+            fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
+            for params in (default_params(), random_params(rng, 3)):
+                out = multi_direction_scan(fm, pair, params)
+                assert out.data.shape == fm.data.shape and out.data.flags.c_contiguous
+                assert np.array_equal(out.data, scatter_through_base_reference(fm, pair, params))
 
 
 class TestFeatureMap:

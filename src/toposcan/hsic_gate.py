@@ -17,7 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+# Eager: NumPy imports numpy.random lazily, and the first sketch draw
+# would otherwise pay that import (about 15 ms) inside a caller's first forward.
+from numpy.random import default_rng
 
 from .scan_order import _require_instance, _require_int, _require_real
 
@@ -139,7 +141,7 @@ def _sketch(length: int, width: int, seed: int) -> tuple[np.ndarray, np.ndarray]
     seed = _require_int("seed", seed)
     stored = _SKETCHES.get((width, seed))
     if stored is None or stored[0].shape[0] < length:
-        draw = np.random.default_rng([seed & 0xFFFFFFFF, width]).integers(0, 2 * width, length)
+        draw = default_rng([seed & 0xFFFFFFFF, width]).integers(0, 2 * width, length)
         stored = (draw % width, np.where(draw < width, 1.0, -1.0))
         for part in stored:
             part.setflags(write=False)
@@ -299,14 +301,24 @@ def hsic_estimate(kc: np.ndarray, kt: np.ndarray) -> float:
 
 
 def gate_weight(hsic: float, cfg: GateConfig) -> float:
-    """Sigmoid gate w = sigmoid(alpha * hsic / temperature), in (0, 1).
+    """Sigmoid gate w = sigmoid(alpha * hsic / temperature), in [0, 1].
+
+    The sigmoid is 1 / (1 + exp(-z)) with libm's ``math.exp``, and 0.0
+    where exp(-z) overflows: bitwise ``scipy.special.expit(z)``, which
+    ``np.exp`` is not (it differs in the last ulp on some inputs).
 
     Raises:
-        ValueError: if ``hsic`` is not a real number or ``cfg`` not a :class:`GateConfig`.
+        ValueError: if ``hsic`` is not a finite real number or ``cfg`` not
+            a :class:`GateConfig`.
     """
     hsic = _require_real("hsic", hsic)
     _require_instance("cfg", cfg, GateConfig)
-    return float(expit(cfg.alpha * hsic / cfg.temperature))
+    if not math.isfinite(hsic):
+        raise ValueError(f"hsic must be finite, got {hsic}")
+    try:
+        return 1.0 / (1.0 + math.exp(-(cfg.alpha * hsic / cfg.temperature)))
+    except OverflowError:
+        return 0.0
 
 
 def fuse_with_diagnostics(

@@ -3,6 +3,9 @@
 Foreground uses 8-connectivity and background 4-connectivity, the
 standard complementary pair that avoids connectivity paradoxes. A hole
 is a background component that cannot reach the image border.
+
+Labelling is ``scipy.ndimage.label``, imported on the first count rather
+than with the package, so a process that never counts loads no SciPy.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "TopoSummary",
@@ -66,6 +68,8 @@ class AggregateReport:
 
 def count_components(mask: np.ndarray) -> int:
     """Number of 8-connected foreground components (0 for an empty mask)."""
+    from scipy import ndimage
+
     mask = _as_mask(mask)
     _, count = ndimage.label(mask, structure=_EIGHT_CONNECTED)
     return int(count)
@@ -77,6 +81,8 @@ def count_holes(mask: np.ndarray) -> int:
     A hole is a 4-connected background component with no pixel on the
     image border; 4-connectivity is ndimage's default structure.
     """
+    from scipy import ndimage
+
     mask = _as_mask(mask)
     labels, count = ndimage.label(~mask)
     if count == 0:

@@ -448,6 +448,56 @@ class TestGateWeight:
         weights = [gate_weight(s, cfg) for s in scores]
         assert all(a < b for a, b in zip(weights, weights[1:]))
 
+    @pytest.mark.parametrize(
+        "hsic, cfg",
+        [
+            (float("nan"), GateConfig()),
+            (float("inf"), GateConfig(alpha=0.0)),
+            (float("inf"), GateConfig()),
+            (-float("inf"), GateConfig()),
+        ],
+        ids=["nan", "inf-alpha-0", "inf", "-inf"],
+    )
+    def test_rejects_non_finite_score(self, hsic, cfg):
+        with pytest.raises(ValueError, match="hsic must be finite"):
+            gate_weight(hsic, cfg)
+
+    def test_bitwise_scipy_expit(self):
+        from scipy.special import expit
+
+        unit = GateConfig(alpha=1.0, temperature=1.0)
+        scores = np.random.default_rng(17).uniform(-50.0, 50.0, 100_000).tolist()
+        cases = [(h, unit) for h in scores + [0.0, -0.0]]
+        # Extreme z = alpha * hsic / temperature: exact through alpha, and
+        # overflowing to +-inf through a subnormal temperature.
+        for z in (0.0, 5e-324, 709.78, 710.0, 745.0, 746.0, 1e308):
+            cases += [(1.0, GateConfig(alpha=signed, temperature=1.0)) for signed in (z, -z)]
+        for hsic in (1.0, -1.0, 1e-300, -1e-300):
+            cases.append((hsic, GateConfig(alpha=1.0, temperature=5e-324)))
+        z = np.array([cfg.alpha * h / cfg.temperature for h, cfg in cases])
+        assert np.isinf(z).any() and (z == 5e-324).any() and (z == -746.0).any()
+        weights = np.array([gate_weight(h, cfg) for h, cfg in cases])
+        assert np.array_equal(weights.view(np.uint64), expit(z).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "cfg", [GateConfig(), GateConfig(alpha=40.0, temperature=0.01, rho=0.7)],
+        ids=["default", "steep"],
+    )
+    @pytest.mark.parametrize("side, channels", [(128, 4), (64, 8), (32, 16), (16, 32)])
+    def test_fuse_blends_bitwise_as_scipy_expit(self, side, channels, cfg):
+        # The fixed_warm stages of a 512x512 input: strides 4, 8, 16 and 32.
+        from scipy.special import expit
+
+        rng = np.random.default_rng(side)
+        fc = rng.standard_normal((1, channels, side * side))
+        ft = 0.5 * fc + rng.standard_normal(fc.shape)
+        out, diags = fuse_with_diagnostics(BranchPair(f_cross=fc, f_topoa=ft), cfg)
+        w = expit(cfg.alpha * np.array([d.hsic for d in diags]) / cfg.temperature)
+        a = cfg.rho + (1.0 - cfg.rho) * w[:, None, None]
+        reference = a * ft + (1.0 - a) * fc
+        assert np.array_equal(np.array([d.w for d in diags]).view(np.uint64), w.view(np.uint64))
+        assert np.array_equal(out.view(np.uint64), reference.view(np.uint64))
+
 
 class TestFuse:
     def test_identical_branches_fixed_point(self):

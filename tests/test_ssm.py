@@ -329,7 +329,13 @@ class TestChunkStateCarry:
 
 
 def test_importing_the_package_leaves_scipy_signal_unloaded():
-    code = "import sys, toposcan; sys.exit('scipy.signal' in sys.modules)"
+    # No SciPy module at all; numpy.random is loaded eagerly so that the
+    # gate's first sketch draw does not pay its import.
+    code = (
+        "import sys, toposcan; "
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+        "sys.exit(f'loaded {scipy}' if scipy else 'numpy.random' not in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -1,5 +1,9 @@
 """Topology metrics against hand constructions and brute-force oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +116,26 @@ class TestHoles:
     def test_ring_has_one(self):
         assert count_holes(ring(5)) == 1
         assert count_components(ring(5)) == 1
+
+    def test_first_count_imports_scipy_ndimage(self):
+        code = """
+import sys
+import numpy as np
+import toposcan
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), f"import toposcan loaded {scipy_modules()}"
+mask = np.zeros((5, 5), dtype=bool)
+mask[1:-1, 1:-1] = True
+mask[2:-2, 2:-2] = False
+assert toposcan.count_holes(mask) == 1
+assert "scipy.ndimage" in sys.modules, scipy_modules()
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_two_separate_rings(self):
         mask = np.zeros((5, 11), dtype=bool)

@@ -17,18 +17,13 @@ from .hsic_gate import (
     fuse,
     fuse_with_diagnostics,
     gate_weight,
-    hsic_estimate,
-    median_bandwidth,
     project_and_normalize,
     projection_matrix,
-    rbf_kernel,
 )
 from .scan_cache import CacheKey, CacheStats, ScanCache
 from .scan_order import (
     GridShape,
     IndexPair,
-    adjacent_step_distances,
-    build_base_antidiagonal,
     build_base_diagonal,
     build_cross_indices,
     build_topoa_indices,
@@ -72,10 +67,8 @@ __all__ = [
     "StageModel",
     "TopoErrors",
     "TopoSummary",
-    "adjacent_step_distances",
     "aggregate",
     "analytic_hit_rate",
-    "build_base_antidiagonal",
     "build_base_diagonal",
     "build_cross_indices",
     "build_topoa_indices",
@@ -87,14 +80,11 @@ __all__ = [
     "fuse",
     "fuse_with_diagnostics",
     "gate_weight",
-    "hsic_estimate",
     "make_scenario",
-    "median_bandwidth",
     "multi_direction_scan",
     "passthrough_params",
     "project_and_normalize",
     "projection_matrix",
-    "rbf_kernel",
     "run_cache_stress",
     "run_scenario",
     "scan_sequence",

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .scan_cache import CacheKey, ScanCache
-from .scan_order import GridShape, IndexPair, _require_int, build_topoa_indices
+from .scan_order import GridShape, IndexPair, _require_instance, _require_int, build_topoa_indices
 from .ssm import FeatureMap, SsmParams, default_params, multi_direction_scan
 
 __all__ = [
@@ -150,7 +150,10 @@ def make_scenario(name: str, sample_count: int = 100, seed: int = 0) -> Scenario
 
 
 def check_requests(scenario: Scenario, stages: StageModel) -> int:
-    """Index requests in one pass; raise ``ValueError`` if over ``MAX_REQUESTS``."""
+    """Index requests in one pass; raise ``ValueError`` if over ``MAX_REQUESTS``,
+    or if ``scenario`` or ``stages`` is not of its annotated type."""
+    _require_instance("scenario", scenario, Scenario)
+    _require_instance("stages", stages, StageModel)
     requests = scenario.sample_count * len(stages.strides) * stages.requests_per_stage
     if requests > MAX_REQUESTS:
         raise ValueError(
@@ -292,9 +295,12 @@ def run_scenario(
     identical sample stream.
 
     Raises:
-        ValueError: if ``cache_capacity``, ``batch`` or ``channels`` is not
-            an integer >= 1, or the stream is over ``MAX_REQUESTS``.
+        ValueError: if ``scenario`` is not a :class:`Scenario`, ``stages``
+            neither None nor a :class:`StageModel`, ``cache_capacity``,
+            ``batch`` or ``channels`` not an integer >= 1, or the stream is
+            over ``MAX_REQUESTS``.
     """
+    _require_instance("scenario", scenario, Scenario)
     stages = stages if stages is not None else StageModel()
     batch, channels = _require_int("batch", batch, 1), _require_int("channels", channels, 1)
     params = default_params()
@@ -373,6 +379,7 @@ def emit_report(report: BenchReport, format: str = "json") -> bytes:
     ``scenario,cold_ms,warm_ms,reduction_pct,hit_rate_pct`` and one data
     row; float fields use repr so they parse back to identical values.
     """
+    _require_instance("report", report, BenchReport)
     if format == "json":
         return (json.dumps(report.to_dict(), indent=2) + "\n").encode("utf-8")
     if format == "csv":

@@ -30,9 +30,6 @@ __all__ = [
     "effective_projection_width",
     "projection_matrix",
     "project_and_normalize",
-    "rbf_kernel",
-    "median_bandwidth",
-    "hsic_estimate",
     "gate_weight",
     "fuse",
     "fuse_with_diagnostics",
@@ -240,64 +237,6 @@ def _hsic(kc: np.ndarray, kt: np.ndarray) -> np.ndarray:
         return k - cols - rows + k.mean(axis=(-2, -1), keepdims=True)
 
     return np.sum(center(kc) * center(kt), axis=(-2, -1)) / (kc.shape[-1] - 1) ** 2
-
-
-def rbf_kernel(x: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """Gaussian kernel matrix K[i, j] = exp(-|x_i - x_j|^2 / (2 sigma_sq)).
-
-    The result is exactly symmetric with a unit diagonal.
-
-    Raises:
-        ValueError: if sigma_sq is not a real > 0 or x is not 2-D.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-D descriptor matrix, got ndim={x.ndim}")
-    sigma_sq = _require_real("sigma_sq", sigma_sq)
-    if not sigma_sq > 0:
-        raise ValueError(f"sigma_sq must be > 0, got {sigma_sq}")
-    return _rbf(_sq_dists(x), sigma_sq)
-
-
-def median_bandwidth(xc: np.ndarray, xt: np.ndarray) -> float:
-    """Median-heuristic bandwidth shared by both branch kernels.
-
-    Pools the off-diagonal pairwise squared distances of both descriptor
-    sets and returns their median (mean of the middle pair for even
-    counts), floored at 1e-12 so degenerate collapsed inputs cannot
-    produce a zero bandwidth.
-
-    Raises:
-        ValueError: if either set is not 2-D or has fewer than 2 rows.
-    """
-    xc = np.asarray(xc, dtype=np.float64)
-    xt = np.asarray(xt, dtype=np.float64)
-    if xc.ndim != 2 or xt.ndim != 2:
-        raise ValueError(f"expected 2-D descriptor matrices, got ndim={xc.ndim} and {xt.ndim}")
-    if xc.shape[0] < 2 or xt.shape[0] < 2:
-        raise ValueError("median bandwidth needs at least 2 descriptor rows per branch")
-    return float(_bandwidth(_sq_dists(xc), _sq_dists(xt)))
-
-
-def hsic_estimate(kc: np.ndarray, kt: np.ndarray) -> float:
-    """Dependence score from two kernel matrices.
-
-    Both kernels are double centered (row mean, column mean, and global
-    mean removed) and combined as their Frobenius inner product divided
-    by (C-1)^2. Non-negative for symmetric PSD inputs up to rounding.
-
-    Raises:
-        ValueError: for non-square, mismatched, or C < 2 inputs.
-    """
-    kc = np.asarray(kc, dtype=np.float64)
-    kt = np.asarray(kt, dtype=np.float64)
-    if kc.ndim != 2 or kc.shape[0] != kc.shape[1]:
-        raise ValueError("kernel matrices must be square")
-    if kc.shape != kt.shape:
-        raise ValueError(f"kernel shapes differ: {kc.shape} vs {kt.shape}")
-    if kc.shape[0] < 2:
-        raise ValueError("dependence estimate needs at least 2 channels")
-    return float(_hsic(kc, kt))
 
 
 def gate_weight(hsic: float, cfg: GateConfig) -> float:

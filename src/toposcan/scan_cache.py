@@ -13,9 +13,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .scan_order import GridShape, IndexPair, _require_instance, _require_int, build_topoa_indices
 
@@ -97,7 +97,7 @@ class ScanCache:
         builder: Callable[[GridShape], IndexPair] = build_topoa_indices,
     ):
         self._capacity = _require_int("capacity", capacity, 1)
-        self._builder = builder
+        self._builder = _require_instance("builder", builder, Callable)
         self._entries: "OrderedDict[CacheKey, IndexPair]" = OrderedDict()
         self._in_flight: dict[CacheKey, Future] = {}
         self._lock = threading.Lock()

@@ -26,10 +26,8 @@ __all__ = [
     "GridShape",
     "IndexPair",
     "build_base_diagonal",
-    "build_base_antidiagonal",
     "build_topoa_indices",
     "build_cross_indices",
-    "adjacent_step_distances",
 ]
 
 
@@ -74,16 +72,16 @@ class GridShape:
         return self.height * self.width
 
 
-def _inverse_rows(orders: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of each row of ``orders``, an int64 ``shape`` array of permutations."""
-    if not isinstance(orders, np.ndarray) or orders.dtype != np.int64 or orders.shape != shape:
-        raise ValueError(f"orders must be an int64 array of shape {shape}")
-    if not 0 <= orders.min() <= orders.max() < shape[-1]:
-        raise ValueError(f"orders hold entries outside 0 .. {shape[-1] - 1}")
-    inverse = np.full_like(orders, -1)  # a repeated index leaves a -1 behind
-    np.put_along_axis(inverse, orders, np.arange(shape[-1]), axis=-1)
+def _inverse_rows(base: np.ndarray, length: int) -> np.ndarray:
+    """Inverse of each row of ``base``, an int64 (2, length) array of permutations."""
+    if not isinstance(base, np.ndarray) or base.dtype != np.int64 or base.shape != (2, length):
+        raise ValueError(f"base must be an int64 array of shape (2, {length})")
+    if not 0 <= base.min() <= base.max() < length:
+        raise ValueError(f"base holds entries outside 0 .. {length - 1}")
+    inverse = np.full_like(base, -1)  # a repeated index leaves a -1 behind
+    np.put_along_axis(inverse, base, np.arange(length), axis=-1)
     if inverse.min() < 0:
-        raise ValueError(f"orders must be permutations of 0 .. {shape[-1] - 1}")
+        raise ValueError(f"base rows must be permutations of 0 .. {length - 1}")
     return inverse
 
 
@@ -110,7 +108,7 @@ class IndexPair:
 
     def __post_init__(self) -> None:
         _require_instance("shape", self.shape, GridShape)
-        inverse = _inverse_rows(self.base, (2, self.shape.length))
+        inverse = _inverse_rows(self.base, self.shape.length)
         self.base.setflags(write=False)
         grid = (2, self.shape.height, self.shape.width)
         # base[1] mirrors base[0] exactly when each cell's rank in row 1 is
@@ -135,7 +133,7 @@ class IndexPair:
     @property
     def inverse(self) -> np.ndarray:
         """Read-only (4, L) inverses of ``forward``, row for row."""
-        base_inverse = _inverse_rows(self.base, (2, self.shape.length))
+        base_inverse = _inverse_rows(self.base, self.shape.length)
         out = np.concatenate([base_inverse, self.shape.length - 1 - base_inverse])
         out.setflags(write=False)
         return out
@@ -152,6 +150,7 @@ def build_base_diagonal(shape: GridShape) -> np.ndarray:
     Returns:
         int64 array of length L, a permutation of 0 .. L-1.
     """
+    _require_instance("shape", shape, GridShape)
     h, w = shape.height, shape.width
     i, j = np.divmod(np.arange(shape.length, dtype=np.int64), w)
     s = i + j
@@ -162,32 +161,18 @@ def build_base_diagonal(shape: GridShape) -> np.ndarray:
     return order
 
 
-def _reflect_columns(order: np.ndarray, width: int) -> np.ndarray:
-    """``order`` with every flat index i*W + j moved to i*W + (W-1-j)."""
-    return order + (width - 1) - 2 * (order % width)
-
-
-def build_base_antidiagonal(shape: GridShape) -> np.ndarray:
-    """Base anti-diagonal order: segments group cells with equal i - j.
-
-    Built as the base diagonal order of the column-reflected grid: the
-    diagonal order with each index's column mirrored (j -> W-1-j).
-
-    Returns:
-        int64 array of length L, a permutation of 0 .. L-1.
-    """
-    return _reflect_columns(build_base_diagonal(shape), shape.width)
-
-
 def build_topoa_indices(shape: GridShape) -> IndexPair:
     """Build the diagonal-family index pair for a grid.
 
-    Base rows: [diagonal, anti-diagonal], the anti-diagonal mirrored from
-    the one diagonal built. The derived reversals flip the completed
-    length-L sequences, not the individual segments.
+    Base rows: [diagonal, anti-diagonal]. The anti-diagonal order groups
+    cells by i - j: it is the diagonal order of the column-reflected grid,
+    each index i*W + j of the one diagonal built moved to i*W + (W-1-j).
+    The derived reversals flip the completed length-L sequences, not the
+    individual segments.
     """
     diagonal = build_base_diagonal(shape)
-    return IndexPair(np.stack([diagonal, _reflect_columns(diagonal, shape.width)]), shape)
+    mirrored = diagonal + (shape.width - 1) - 2 * (diagonal % shape.width)
+    return IndexPair(np.stack([diagonal, mirrored]), shape)
 
 
 def _axis_aligned_base(shape: GridShape) -> np.ndarray:
@@ -203,26 +188,5 @@ def build_cross_indices(shape: GridShape) -> IndexPair:
     (i, j) by increasing j then i, emitting the row-major flat index
     i*W + j.
     """
+    _require_instance("shape", shape, GridShape)
     return IndexPair(_axis_aligned_base(shape), shape)
-
-
-def adjacent_step_distances(order: np.ndarray, shape: GridShape) -> np.ndarray:
-    """Euclidean distances between consecutively visited grid cells.
-
-    Args:
-        order: permutation of 0 .. L-1 giving flat indices in visit order.
-        shape: grid the indices refer to.
-
-    Returns:
-        float64 array of length L-1 (empty for a single-cell grid).
-
-    Raises:
-        ValueError: if ``order`` is not an integer permutation of 0 .. L-1.
-    """
-    order = np.asarray(order)
-    if not np.issubdtype(order.dtype, np.integer):
-        raise ValueError(f"order must hold integers, got dtype {order.dtype}")
-    order = order.astype(np.int64)
-    _inverse_rows(order, (shape.length,))
-    i, j = np.divmod(order, shape.width)
-    return np.hypot(np.diff(i).astype(np.float64), np.diff(j).astype(np.float64))

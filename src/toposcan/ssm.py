@@ -247,6 +247,7 @@ def discretize(params: SsmParams) -> tuple[np.ndarray, np.ndarray]:
         b_bar = (exp(delta * a) - 1) / a * b. The formula is singular at
         a = 0, which :class:`SsmParams` already excludes.
     """
+    _require_instance("params", params, SsmParams)
     a_bar = np.exp(params.delta * params.a)
     b_bar = (a_bar - 1.0) / params.a * params.b
     return a_bar, b_bar
@@ -316,8 +317,10 @@ def scan_sequence(x: np.ndarray, params: SsmParams) -> np.ndarray:
     """Apply the discretized recurrence to a 1-D sequence (zero initial state).
 
     Raises:
-        ValueError: for non-1-D or non-finite input.
+        ValueError: for non-1-D or non-finite input, or ``params`` that is
+            not an :class:`SsmParams`.
     """
+    _require_instance("params", params, SsmParams)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got ndim={x.ndim}")

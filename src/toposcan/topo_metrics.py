@@ -10,10 +10,12 @@ than with the package, so a process that never counts loads no SciPy.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
+
+from .scan_order import _require_instance
 
 __all__ = [
     "TopoSummary",
@@ -121,10 +123,10 @@ def aggregate(items: Iterable[TopoErrors]) -> AggregateReport:
     """Mean errors over a batch of :func:`topo_errors` results.
 
     Raises:
-        ValueError: for an empty batch or an item that is not a
-            :class:`TopoErrors`.
+        ValueError: for ``items`` that is not iterable, an empty batch, or
+            an item that is not a :class:`TopoErrors`.
     """
-    errors = list(items)
+    errors = list(_require_instance("items", items, Iterable))
     if not errors:
         raise ValueError("cannot aggregate an empty batch")
     for item in errors:

@@ -14,13 +14,24 @@ from toposcan import (
     GateConfig,
     GridShape,
     ScanCache,
+    Scenario,
+    StageModel,
+    aggregate,
+    analytic_hit_rate,
+    build_base_diagonal,
+    build_cross_indices,
     build_topoa_indices,
     default_params,
+    discretize,
+    emit_report,
     fuse,
     fuse_with_diagnostics,
     gate_weight,
     multi_direction_scan,
+    run_scenario,
+    scan_sequence,
 )
+from toposcan.bench import check_requests
 from toposcan.hsic_gate import effective_projection_width
 
 MODULES = sorted(
@@ -55,6 +66,17 @@ WRONG_TYPED_CALLS = {
     "gate_weight-cfg-None": lambda: gate_weight(0.1, None),
     "gate_weight-hsic-str": lambda: gate_weight("a", GateConfig()),
     "effective_projection_width-d_proj-str": lambda: effective_projection_width("a", 3),
+    "build_topoa_indices-shape-tuple": lambda: build_topoa_indices((2, 3)),
+    "build_base_diagonal-shape-tuple": lambda: build_base_diagonal((2, 3)),
+    "build_cross_indices-shape-tuple": lambda: build_cross_indices((2, 3)),
+    "discretize-params-None": lambda: discretize(None),
+    "scan_sequence-params-None": lambda: scan_sequence(np.ones(3), None),
+    "check_requests-scenario-None": lambda: check_requests(None, StageModel()),
+    "analytic_hit_rate-stages-tuple": lambda: analytic_hit_rate(Scenario("fixed"), (4, 8)),
+    "run_scenario-scenario-str": lambda: run_scenario("fixed"),
+    "emit_report-report-None": lambda: emit_report(None),
+    "aggregate-items-None": lambda: aggregate(None),
+    "ScanCache-builder-str": lambda: ScanCache(builder="a"),
 }
 
 

@@ -21,16 +21,15 @@ from toposcan.hsic_gate import (
     BranchPair,
     GateConfig,
     _bandwidth,
+    _hsic,
+    _rbf,
     _sq_dists,
     effective_projection_width,
     fuse,
     fuse_with_diagnostics,
     gate_weight,
-    hsic_estimate,
-    median_bandwidth,
     project_and_normalize,
     projection_matrix,
-    rbf_kernel,
 )
 
 
@@ -50,6 +49,16 @@ def difference_sq_dists(x):
     """Reference squared distances from the explicit (C, C, k) difference tensor."""
     diff = x[:, None, :] - x[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def gate_kernel(x, sigma_sq):
+    """The gate's kernel of one (C, k) descriptor matrix."""
+    return _rbf(_sq_dists(x), sigma_sq)
+
+
+def gate_bandwidth(xc, xt):
+    """The gate's shared bandwidth of one pair of descriptor matrices."""
+    return float(_bandwidth(_sq_dists(xc), _sq_dists(xt)))
 
 
 def difference_bandwidth(xc, xt):
@@ -270,35 +279,26 @@ class TestProjection:
 class TestRbfKernel:
     def test_identical_rows_give_all_ones(self):
         x = np.tile(np.arange(4.0), (3, 1))
-        np.testing.assert_array_equal(rbf_kernel(x, 2.0), np.ones((3, 3)))
+        np.testing.assert_array_equal(gate_kernel(x, 2.0), np.ones((3, 3)))
 
     def test_distance_two_sigma_sq_gives_inverse_e(self):
         sigma_sq = 1.5
         x = np.zeros((2, 4))
         x[1, 0] = np.sqrt(2.0 * sigma_sq)
-        k = rbf_kernel(x, sigma_sq)
+        k = gate_kernel(x, sigma_sq)
         assert k[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(3)
-        k = rbf_kernel(rng.standard_normal((6, 5)), 0.7)
+        k = gate_kernel(rng.standard_normal((6, 5)), 0.7)
         assert np.array_equal(k, k.T)
         assert np.array_equal(np.diag(k), np.ones(6))
         assert np.all((k > 0) & (k <= 1))
 
-    def test_rejects_nonpositive_bandwidth(self):
-        with pytest.raises(ValueError):
-            rbf_kernel(np.zeros((2, 2)), 0.0)
-
-    @pytest.mark.parametrize("sigma_sq", ["a", None, True, [1.0]])
-    def test_rejects_non_real_bandwidth(self, sigma_sq):
-        with pytest.raises(ValueError, match="sigma_sq must be a real number"):
-            rbf_kernel(np.zeros((2, 2)), sigma_sq)
-
     @pytest.mark.parametrize("case", sorted(descriptor_cases()))
     def test_matches_difference_formula(self, case):
         x = descriptor_cases()[case]
-        k = rbf_kernel(x, 0.7)
+        k = gate_kernel(x, 0.7)
         np.testing.assert_allclose(k, np.exp(-difference_sq_dists(x) / 1.4), rtol=0, atol=1e-14)
         assert np.array_equal(k, k.T)
         assert np.array_equal(np.diag(k), np.ones(x.shape[0]))
@@ -321,7 +321,7 @@ class TestSquaredDistances:
 class TestMedianBandwidth:
     def test_collapsed_inputs_hit_floor(self):
         x = np.ones((3, 4))
-        assert median_bandwidth(x, x) == 1e-12
+        assert gate_bandwidth(x, x) == 1e-12
 
     def test_pooled_even_count_median(self):
         # two rows at squared distance 4 and two at squared distance 2
@@ -329,25 +329,21 @@ class TestMedianBandwidth:
         xc[1, 0] = 2.0
         xt = np.zeros((2, 3))
         xt[1, 0] = np.sqrt(2.0)
-        assert median_bandwidth(xc, xt) == pytest.approx(3.0, rel=1e-12)
+        assert gate_bandwidth(xc, xt) == pytest.approx(3.0, rel=1e-12)
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(8)
         xc, xt = rng.standard_normal((2, 6, 5))
-        base = median_bandwidth(xc, xt)
-        scaled = median_bandwidth(2.5 * xc, 2.5 * xt)
+        base = gate_bandwidth(xc, xt)
+        scaled = gate_bandwidth(2.5 * xc, 2.5 * xt)
         assert scaled == pytest.approx(2.5**2 * base, rel=1e-12)
-
-    def test_rejects_single_row(self):
-        with pytest.raises(ValueError):
-            median_bandwidth(np.zeros((1, 4)), np.zeros((3, 4)))
 
     @pytest.mark.parametrize("case", sorted(descriptor_cases()))
     def test_matches_difference_formula(self, case):
         x = descriptor_cases()[case]
         y = np.random.default_rng(14).standard_normal(x.shape)
         for xc, xt in ((x, x), (x, y), (y, x)):
-            assert median_bandwidth(xc, xt) == pytest.approx(
+            assert gate_bandwidth(xc, xt) == pytest.approx(
                 difference_bandwidth(xc, xt), rel=1e-12, abs=1e-14
             )
 
@@ -356,15 +352,8 @@ class TestMedianBandwidth:
         xc, xt = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
         # 3 + 10 pooled distances: the median is the 7th smallest.
         expected = difference_bandwidth(xc, xt)
-        assert median_bandwidth(xc, xt) == pytest.approx(expected, rel=1e-12)
-        assert median_bandwidth(xt, xc) == median_bandwidth(xc, xt)
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4)])
-    def test_rejects_non_2d_descriptors(self, shape):
-        with pytest.raises(ValueError, match="2-D"):
-            median_bandwidth(np.ones(shape), np.ones((3, 4)))
-        with pytest.raises(ValueError, match="2-D"):
-            median_bandwidth(np.ones((3, 4)), np.ones(shape))
+        assert gate_bandwidth(xc, xt) == pytest.approx(expected, rel=1e-12)
+        assert gate_bandwidth(xt, xc) == gate_bandwidth(xc, xt)
 
 
 class TestBandwidthByPartition:
@@ -378,7 +367,7 @@ class TestBandwidthByPartition:
         for _ in range(5):
             xc, xt = rng.standard_normal((c, 5)), rng.standard_normal((t, 5))
             expected = float(median_reference(_sq_dists(xc), _sq_dists(xt)))
-            assert median_bandwidth(xc, xt) == expected
+            assert gate_bandwidth(xc, xt) == expected
 
     @pytest.mark.parametrize("c,t", COUNTS)
     def test_duplicate_rows_equal_reference_bitwise(self, c, t):
@@ -388,7 +377,7 @@ class TestBandwidthByPartition:
             xc = rng.standard_normal((repeats, 4))[rng.integers(0, repeats, c)]
             xt = rng.standard_normal((repeats, 4))[rng.integers(0, repeats, t)]
             expected = float(median_reference(_sq_dists(xc), _sq_dists(xt)))
-            assert median_bandwidth(xc, xt) == expected
+            assert gate_bandwidth(xc, xt) == expected
 
     @pytest.mark.parametrize("channels", [2, 3, 4, 8, 16, 32])
     def test_batch_equals_reference_bitwise(self, channels):
@@ -407,29 +396,21 @@ class TestHsicEstimate:
     def test_constant_branch_scores_zero(self):
         rng = np.random.default_rng(0)
         kc = random_psd(rng, 6)
-        assert hsic_estimate(kc, np.ones((6, 6))) == 0.0
+        assert _hsic(kc, np.ones((6, 6))) == 0.0
 
     def test_self_dependence_nonnegative(self):
         rng = np.random.default_rng(1)
         k = random_psd(rng, 8)
-        assert hsic_estimate(k, k) >= 0.0
+        assert _hsic(k, k) >= 0.0
 
     def test_matches_trace_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             c = int(rng.integers(2, 65))
             kc, kt = random_psd(rng, c), random_psd(rng, c)
-            estimate = hsic_estimate(kc, kt)
+            estimate = _hsic(kc, kt)
             oracle = trace_form_oracle(kc, kt)
             assert estimate == pytest.approx(oracle, rel=1e-10, abs=1e-12)
-
-    def test_rejects_small_or_mismatched(self):
-        with pytest.raises(ValueError):
-            hsic_estimate(np.ones((1, 1)), np.ones((1, 1)))
-        with pytest.raises(ValueError):
-            hsic_estimate(np.ones((3, 3)), np.ones((4, 4)))
-        with pytest.raises(ValueError):
-            hsic_estimate(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestGateWeight:

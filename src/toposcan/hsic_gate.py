@@ -5,7 +5,9 @@ channel (a seeded sign sketch, then row normalization), RBF kernels
 with a shared median-heuristic bandwidth are built over the channel
 descriptors, and the dependence between branches is scored as
 the normalized Frobenius inner product of the double-centered kernels.
-Each branch's distances come once from its Gram matrix, for the whole batch.
+Both branches go through the gate as one (2, batch, channels, .) stack:
+one weighted bincount sketches every row, one Gram pass gives the
+distances, one exp builds both kernels and one pass centers them.
 A scalar sigmoid gate converts the score into a blend weight, and a
 residual shortcut keeps a minimum contribution of the diagonal-scan
 branch regardless of the measured dependence.
@@ -37,6 +39,7 @@ __all__ = [
 
 ZERO_ROW_EPS = 1e-12
 BANDWIDTH_FLOOR = 1e-12
+_GRAM_ROUNDING = 8.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -189,14 +192,22 @@ def project_and_normalize(features: np.ndarray, width: int, seed: int = 0) -> np
     if features.ndim < 1:
         raise ValueError("features must be at least 1-D, got a scalar")
     columns, signs = _sketch(features.shape[-1], width, seed)
-    rows = math.prod(features.shape[:-1])
+    return _unit_rows(features * signs, columns, width)
+
+
+def _unit_rows(signed: np.ndarray, columns: np.ndarray, width: int) -> np.ndarray:
+    """The normalized sketch of (..., L) rows already multiplied by their signs."""
+    *lead, length = signed.shape
+    rows = math.prod(lead)
     index = (np.arange(rows)[:, None] * width + columns).ravel()
-    sums = np.bincount(index, (features * signs).ravel(), minlength=rows * width)
-    projected = sums.reshape(*features.shape[:-1], width) / np.sqrt(features.shape[-1])
-    _, exponent = np.frexp(np.max(np.abs(projected), axis=-1, keepdims=True))
+    projected = np.bincount(index, signed.ravel(), minlength=rows * width)
+    projected = projected.reshape(*lead, width) / math.sqrt(length)
+    _, exponent = np.frexp(np.maximum.reduce(np.abs(projected), axis=-1, keepdims=True))
     scaled = np.ldexp(projected, -exponent)
-    scaled_norms = np.linalg.norm(scaled, axis=-1, keepdims=True)
+    scaled_norms = np.sqrt(np.add.reduce(scaled * scaled, axis=-1, keepdims=True))
     zero = np.ldexp(scaled_norms, exponent) < ZERO_ROW_EPS
+    if not zero.any():
+        return scaled / scaled_norms
     return np.where(zero, 0.0, scaled / np.where(zero, 1.0, scaled_norms))
 
 
@@ -206,10 +217,10 @@ def project_and_normalize(features: np.ndarray, width: int, seed: int = 0) -> np
 # so rows that differ only by rounding count as equal.
 def _sq_dists(x: np.ndarray) -> np.ndarray:
     gram = x @ x.swapaxes(-1, -2)
-    norms = np.diagonal(gram, axis1=-2, axis2=-1)
+    norms = gram.diagonal(axis1=-2, axis2=-1)
     scale = norms[..., :, None] + norms[..., None, :]
     dists = scale - 2.0 * gram
-    return np.where(dists > 8.0 * np.finfo(np.float64).eps * scale, dists, 0.0)
+    return np.where(dists > _GRAM_ROUNDING * scale, dists, 0.0)
 
 
 def _rbf(sq_dists: np.ndarray, sigma_sq: float | np.ndarray) -> np.ndarray:
@@ -225,18 +236,23 @@ def _bandwidth(dc: np.ndarray, dt: np.ndarray) -> np.ndarray:
     diagonal = dc.shape[-1] + dt.shape[-1]
     pooled = np.concatenate([d.reshape(*d.shape[:-2], -1) for d in (dc, dt)], -1)
     k = (pooled.shape[-1] + diagonal) // 2
-    middle = np.partition(pooled, (k - 1, k), axis=-1)[..., k - 1 : k + 1]
+    pooled.partition((k - 1, k), axis=-1)
+    middle = pooled[..., k - 1 : k + 1]
     if (k - diagonal) % 2:  # an odd count: the middle entry alone, as np.median takes it
         middle = middle[..., 1:]
-    return np.maximum(np.mean(middle, axis=-1), BANDWIDTH_FLOOR)
+    return np.maximum(np.add.reduce(middle, axis=-1) / middle.shape[-1], BANDWIDTH_FLOOR)
 
 
-def _hsic(kc: np.ndarray, kt: np.ndarray) -> np.ndarray:
-    def center(k: np.ndarray) -> np.ndarray:
-        cols, rows = k.mean(axis=-2, keepdims=True), k.mean(axis=-1, keepdims=True)
-        return k - cols - rows + k.mean(axis=(-2, -1), keepdims=True)
-
-    return np.sum(center(kc) * center(kt), axis=(-2, -1)) / (kc.shape[-1] - 1) ** 2
+# Scores of a (2, ..., n, n) stack of kernels: the Frobenius inner product of
+# its two double-centered halves over (n - 1)^2. Each mean is its sum over the
+# count, as np.mean takes it.
+def _hsic(kernels: np.ndarray) -> np.ndarray:
+    n = kernels.shape[-1]
+    cols = np.add.reduce(kernels, axis=-2, keepdims=True) / n
+    rows = np.add.reduce(kernels, axis=-1, keepdims=True) / n
+    total = np.add.reduce(kernels, axis=(-2, -1), keepdims=True) / (n * n)
+    centered = kernels - cols - rows + total
+    return np.add.reduce(centered[0] * centered[1], axis=(-2, -1)) / (n - 1) ** 2
 
 
 def gate_weight(hsic: float, cfg: GateConfig) -> float:
@@ -278,18 +294,24 @@ def fuse_with_diagnostics(
     """
     _require_instance("pair", pair, BranchPair)
     cfg = GateConfig() if cfg is None else _require_instance("cfg", cfg, GateConfig)
-    _, channels, length = pair.f_cross.shape
+    batch, channels, length = pair.f_cross.shape
     if channels < 2:
         raise ValueError("gating needs at least 2 channels")
     width = effective_projection_width(cfg.d_proj, length)
-    dc = _sq_dists(project_and_normalize(pair.f_cross, width, cfg.seed))
-    dt = _sq_dists(project_and_normalize(pair.f_topoa, width, cfg.seed))
-    sigma_sq = _bandwidth(dc, dt)
-    scores = _hsic(_rbf(dc, sigma_sq), _rbf(dt, sigma_sq))
+    columns, signs = _sketch(length, width, cfg.seed)
+    # Both branches go through the gate as one (2, B, C, .) stack.
+    signed = np.empty((2, batch, channels, length))
+    np.multiply(pair.f_cross, signs, out=signed[0])
+    np.multiply(pair.f_topoa, signs, out=signed[1])
+    dists = _sq_dists(_unit_rows(signed, columns, width))
+    sigma_sq = _bandwidth(dists[0], dists[1])
+    scores = _hsic(_rbf(dists, sigma_sq))
     items = zip(scores.tolist(), sigma_sq.tolist())
     diagnostics = [GateDiagnostics(h, s, gate_weight(h, cfg)) for h, s in items]
     a = cfg.rho + (1.0 - cfg.rho) * np.array([d.w for d in diagnostics])[:, None, None]
-    return a * pair.f_topoa + (1.0 - a) * pair.f_cross, diagnostics
+    fused = a * pair.f_topoa
+    fused += (1.0 - a) * pair.f_cross
+    return fused, diagnostics
 
 
 def fuse(pair: BranchPair, cfg: GateConfig | None = None) -> np.ndarray:

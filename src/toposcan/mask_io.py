@@ -16,11 +16,14 @@ happens at evaluation time.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .scan_order import _require_int
 
 __all__ = [
     "RAW_MAGIC",
@@ -39,6 +42,12 @@ _PBM_SPACE = np.zeros(256, dtype=bool)
 _PBM_SPACE[list(b" \t\n\v\f\r")] = True
 
 
+def _as_path(path: object) -> Path:
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a str or os.PathLike, got {path!r}")
+    return Path(path)
+
+
 @dataclass(frozen=True)
 class ManifestItem:
     """One evaluation pair: prediction path, ground-truth path, class id.
@@ -53,6 +62,7 @@ class ManifestItem:
 
 def write_mask_raw(path: str | Path, mask: np.ndarray) -> None:
     """Write a 2-D label array in the raw dense format (values 0..255)."""
+    path = _as_path(path)
     arr = np.asarray(mask)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"mask must be a non-empty 2-D array, got shape {arr.shape}")
@@ -67,6 +77,7 @@ def write_mask_raw(path: str | Path, mask: np.ndarray) -> None:
 
 def write_mask_pbm(path: str | Path, mask: np.ndarray, binary: bool = True) -> None:
     """Write a binary mask as PBM (P4 when ``binary``, else ASCII P1)."""
+    path = _as_path(path)
     arr = np.asarray(mask)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"mask must be a non-empty 2-D array, got shape {arr.shape}")
@@ -161,9 +172,10 @@ def read_mask(path: str | Path) -> np.ndarray:
         the raw format yields its stored label values.
 
     Raises:
-        ValueError: for unknown magic or malformed contents.
+        ValueError: for a path that is neither a str nor an os.PathLike,
+            unknown magic or malformed contents.
     """
-    data = Path(path).read_bytes()
+    data = _as_path(path).read_bytes()
     if data[:4] == RAW_MAGIC:
         if len(data) < _RAW_HEADER.size:
             raise ValueError(f"{path}: truncated raw mask header")
@@ -180,11 +192,18 @@ def read_mask(path: str | Path) -> np.ndarray:
 
 
 def binarize(labels: np.ndarray, class_id: int | None) -> np.ndarray:
-    """Foreground mask for one class: labels == class_id, or nonzero if None."""
-    labels = np.asarray(labels)
+    """Foreground mask for one class: labels == class_id, or nonzero if None.
+
+    Raises:
+        ValueError: unless ``labels`` is an integer or bool ndarray and
+            ``class_id`` None or an integer.
+    """
+    if not isinstance(labels, np.ndarray) or labels.dtype.kind not in "biu":
+        got = labels.dtype if isinstance(labels, np.ndarray) else type(labels).__name__
+        raise ValueError(f"labels must be an integer or bool ndarray, got {got}")
     if class_id is None:
         return labels != 0
-    return labels == class_id
+    return labels == _require_int("class_id", class_id)
 
 
 def read_manifest(path: str | Path) -> list[ManifestItem]:
@@ -195,10 +214,11 @@ def read_manifest(path: str | Path) -> list[ManifestItem]:
     class_id optional (null or absent means nonzero-is-foreground).
 
     Raises:
-        ValueError: for structural problems, non-string paths, nesting too
-            deep to parse, or an empty item list.
+        ValueError: for a path that is neither a str nor an os.PathLike,
+            structural problems, non-string paths, nesting too deep to
+            parse, or an empty item list.
     """
-    path = Path(path)
+    path = _as_path(path)
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:

@@ -35,6 +35,8 @@ def _as_mask(mask: np.ndarray) -> np.ndarray:
     arr = np.asarray(mask)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"mask must be a non-empty 2-D array, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"mask must be a bool or numeric array, got dtype {arr.dtype}")
     return arr.astype(bool)
 
 

@@ -222,7 +222,7 @@ def test_criterion_8_hsic_suite():
         c = int(rng.integers(2, 65))
         gc_, gt_ = rng.standard_normal((2, c, c + 2))
         kc, kt = gc_ @ gc_.T, gt_ @ gt_.T
-        estimate = _hsic(kc, kt)
+        estimate = _hsic(np.stack((kc, kt)))
         h = np.eye(c) - np.ones((c, c)) / c
         oracle = float(np.trace(kc @ h @ kt @ h) / (c - 1) ** 2)
         assert estimate == pytest.approx(oracle, rel=1e-10, abs=1e-12)
@@ -231,7 +231,7 @@ def test_criterion_8_hsic_suite():
     # Constant branch: identical descriptor rows collapse to an all-ones kernel.
     ones = _rbf(_sq_dists(np.tile(np.arange(5.0), (6, 1))), 1.0)
     g = rng.standard_normal((6, 8))
-    assert abs(_hsic(g @ g.T, ones)) <= 1e-12
+    assert abs(_hsic(np.stack((g @ g.T, ones)))) <= 1e-12
 
     f = rng.standard_normal((2, 6, 40))
     np.testing.assert_allclose(fuse(BranchPair(f_cross=f, f_topoa=f.copy())), f, rtol=1e-12)

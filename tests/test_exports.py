@@ -33,6 +33,8 @@ from toposcan import (
 )
 from toposcan.bench import check_requests
 from toposcan.hsic_gate import effective_projection_width
+from toposcan.mask_io import binarize, read_manifest, read_mask, write_mask_pbm, write_mask_raw
+from toposcan.topo_metrics import topo_summary
 
 MODULES = sorted(
     f"toposcan.{info.name}" for info in pkgutil.iter_modules(toposcan.__path__)
@@ -77,6 +79,16 @@ WRONG_TYPED_CALLS = {
     "emit_report-report-None": lambda: emit_report(None),
     "aggregate-items-None": lambda: aggregate(None),
     "ScanCache-builder-str": lambda: ScanCache(builder="a"),
+    "read_mask-path-None": lambda: read_mask(None),
+    "read_manifest-path-None": lambda: read_manifest(None),
+    "write_mask_raw-path-None": lambda: write_mask_raw(None, np.ones((2, 2), np.uint8)),
+    "write_mask_pbm-path-None": lambda: write_mask_pbm(None, np.ones((2, 2), np.uint8)),
+    "binarize-labels-None": lambda: binarize(None, 1),
+    "binarize-labels-str": lambda: binarize("a", 1),
+    "binarize-labels-object": lambda: binarize(np.array([[None, 1]], dtype=object), 1),
+    "binarize-class_id-str": lambda: binarize(np.ones((2, 2), np.uint8), "1"),
+    "binarize-class_id-float": lambda: binarize(np.ones((2, 2), np.uint8), 1.0),
+    "topo_summary-mask-object": lambda: topo_summary(np.array([[None, 1]], dtype=object)),
 }
 
 

@@ -1,6 +1,8 @@
 """Gate math: projection, kernels, bandwidth, dependence score, fusion."""
 
+import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,6 +25,7 @@ from toposcan.hsic_gate import (
     _bandwidth,
     _hsic,
     _rbf,
+    _sketch,
     _sq_dists,
     effective_projection_width,
     fuse,
@@ -396,19 +399,19 @@ class TestHsicEstimate:
     def test_constant_branch_scores_zero(self):
         rng = np.random.default_rng(0)
         kc = random_psd(rng, 6)
-        assert _hsic(kc, np.ones((6, 6))) == 0.0
+        assert _hsic(np.stack((kc, np.ones((6, 6))))) == 0.0
 
     def test_self_dependence_nonnegative(self):
         rng = np.random.default_rng(1)
         k = random_psd(rng, 8)
-        assert _hsic(k, k) >= 0.0
+        assert _hsic(np.stack((k, k))) >= 0.0
 
     def test_matches_trace_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             c = int(rng.integers(2, 65))
             kc, kt = random_psd(rng, c), random_psd(rng, c)
-            estimate = _hsic(kc, kt)
+            estimate = _hsic(np.stack((kc, kt)))
             oracle = trace_form_oracle(kc, kt)
             assert estimate == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
@@ -585,6 +588,103 @@ class TestFuse:
     def test_single_channel_rejected(self):
         with pytest.raises(ValueError):
             fuse(BranchPair(f_cross=np.zeros((1, 1, 8)), f_topoa=np.zeros((1, 1, 8))))
+
+
+def per_branch_descriptors(features, width, seed):
+    """One branch's sketch and row normalization on its own, the norm taken
+    by np.linalg.norm of the rescaled rows."""
+    columns, signs = _sketch(features.shape[-1], width, seed)
+    rows = math.prod(features.shape[:-1])
+    index = (np.arange(rows)[:, None] * width + columns).ravel()
+    sums = np.bincount(index, (features * signs).ravel(), minlength=rows * width)
+    projected = sums.reshape(*features.shape[:-1], width) / np.sqrt(features.shape[-1])
+    _, exponent = np.frexp(np.max(np.abs(projected), axis=-1, keepdims=True))
+    scaled = np.ldexp(projected, -exponent)
+    norms = np.linalg.norm(scaled, axis=-1, keepdims=True)
+    zero = np.ldexp(norms, exponent) < 1e-12
+    return np.where(zero, 0.0, scaled / np.where(zero, 1.0, norms))
+
+
+def per_branch_fuse(fc, ft, cfg):
+    """The fused map and per-item (hsic, sigma_sq, w), each branch sketched,
+    distanced and kernelled on its own and each kernel centered by np.mean."""
+
+    def center(k):
+        cols, rows = k.mean(axis=-2, keepdims=True), k.mean(axis=-1, keepdims=True)
+        return k - cols - rows + k.mean(axis=(-2, -1), keepdims=True)
+
+    width = effective_projection_width(cfg.d_proj, fc.shape[-1])
+    dc, dt = (_sq_dists(per_branch_descriptors(f, width, cfg.seed)) for f in (fc, ft))
+    sigma_sq = median_reference(dc, dt)
+    kc, kt = _rbf(dc, sigma_sq), _rbf(dt, sigma_sq)
+    scores = np.sum(center(kc) * center(kt), axis=(-2, -1)) / (fc.shape[1] - 1) ** 2
+    items = [(h, s, gate_weight(h, cfg)) for h, s in zip(scores.tolist(), sigma_sq.tolist())]
+    a = cfg.rho + (1.0 - cfg.rho) * np.array([w for _, _, w in items])[:, None, None]
+    return a * ft + (1.0 - a) * fc, items
+
+
+class TestStackedGate:
+    """Both branches share one (2, B, C, .) stack through the gate; every
+    output must equal the per-branch composition bitwise."""
+
+    @pytest.mark.parametrize("seed", [0, 77])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1, 4, 128 * 128), (1, 8, 64 * 64), (1, 16, 32 * 32), (1, 32, 16 * 16),
+            (1, 4, 97 * 97), (1, 8, 49 * 49), (1, 16, 25 * 25), (1, 32, 13 * 13),
+            (3, 2, 135), (3, 5, 135), (2, 3, 1), (2, 4, 300),
+        ],
+    )
+    def test_equals_per_branch_reference_bitwise(self, shape, seed):
+        cfg = GateConfig(seed=seed)
+        rng = np.random.default_rng([seed, *shape])
+        width = effective_projection_width(cfg.d_proj, shape[-1])
+        for scale in (1e-200, 1.0, 1e200):
+            for zero_row in (False, True):
+                fc, ft = scale * rng.standard_normal((2, *shape))
+                if zero_row:
+                    fc[-1, 1] = 0.0  # all zero in one branch only
+                out, diags = fuse_with_diagnostics(BranchPair(f_cross=fc, f_topoa=ft), cfg)
+                reference, items = per_branch_fuse(fc, ft, cfg)
+                assert [(d.hsic, d.sigma_sq, d.w) for d in diags] == items
+                assert np.array_equal(out.view(np.uint64), reference.view(np.uint64))
+                for f in (fc, ft):
+                    got = project_and_normalize(f, width, seed)
+                    want = per_branch_descriptors(f, width, seed)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_two_threads_match_serial_calls_bitwise(self):
+        # A seed no other test draws, so both threads race to fill the store.
+        cfg = GateConfig(seed=90210)
+        rng = np.random.default_rng(19)
+        pairs = [
+            BranchPair(f_cross=rng.standard_normal(shape), f_topoa=rng.standard_normal(shape))
+            for shape in ((1, 4, 300), (2, 8, 500))
+        ]
+        results = [[], []]
+
+        def calls(slot):
+            for _ in range(200):
+                results[slot].append(fuse_with_diagnostics(pairs[slot], cfg))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for pair, got in zip(pairs, results):
+            serial_out, serial_diags = fuse_with_diagnostics(pair, cfg)
+            assert len(got) == 200
+            for out, diags in got:
+                assert np.array_equal(out.view(np.uint64), serial_out.view(np.uint64))
+                assert diags == serial_diags
 
 
 class TestGateConfig:

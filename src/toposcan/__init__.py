@@ -14,17 +14,14 @@ from .hsic_gate import (
     BranchPair,
     GateConfig,
     GateDiagnostics,
-    fuse,
     fuse_with_diagnostics,
     gate_weight,
-    project_and_normalize,
     projection_matrix,
 )
 from .scan_cache import CacheKey, CacheStats, ScanCache
 from .scan_order import (
     GridShape,
     IndexPair,
-    build_base_diagonal,
     build_cross_indices,
     build_topoa_indices,
 )
@@ -69,7 +66,6 @@ __all__ = [
     "TopoSummary",
     "aggregate",
     "analytic_hit_rate",
-    "build_base_diagonal",
     "build_cross_indices",
     "build_topoa_indices",
     "count_components",
@@ -77,13 +73,11 @@ __all__ = [
     "default_params",
     "discretize",
     "emit_report",
-    "fuse",
     "fuse_with_diagnostics",
     "gate_weight",
     "make_scenario",
     "multi_direction_scan",
     "passthrough_params",
-    "project_and_normalize",
     "projection_matrix",
     "run_cache_stress",
     "run_scenario",

@@ -71,7 +71,7 @@ MAX_STRESS_THREADS = 64
 # Reference memory grows about quadratically with the key count (grid
 # sides reach about sqrt(2 * keys)); the cap keeps it to a few hundred MB.
 MAX_STRESS_KEYS = 1024
-# Index requests in one pass (samples x strides x requests_per_stage). The
+# Index requests in one pass (samples x strides). The
 # key stream holds one key per request, about 190 bytes each, so the cap
 # keeps it near 200 MB.
 MAX_REQUESTS = 2**20
@@ -82,11 +82,10 @@ class StageModel:
     """Internal-resolution model of a hierarchical encoder.
 
     Stage s of an external side E works at ceil(E / strides[s]) per axis
-    and issues ``requests_per_stage`` index requests per forward pass.
+    and issues one index request per forward pass.
     """
 
     strides: tuple[int, ...] = (4, 8, 16, 32)
-    requests_per_stage: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.strides, Iterable):
@@ -97,8 +96,6 @@ class StageModel:
         if any(b <= a for a, b in zip(strides, strides[1:])):
             raise ValueError(f"strides must be strictly increasing, got {strides}")
         object.__setattr__(self, "strides", strides)
-        requests = _require_int("requests_per_stage", self.requests_per_stage, 1)
-        object.__setattr__(self, "requests_per_stage", requests)
 
     def internal_shape(self, side: int, stride: int) -> GridShape:
         size = -(-side // stride)
@@ -154,17 +151,17 @@ def check_requests(scenario: Scenario, stages: StageModel) -> int:
     or if ``scenario`` or ``stages`` is not of its annotated type."""
     _require_instance("scenario", scenario, Scenario)
     _require_instance("stages", stages, StageModel)
-    requests = scenario.sample_count * len(stages.strides) * stages.requests_per_stage
+    requests = scenario.sample_count * len(stages.strides)
     if requests > MAX_REQUESTS:
         raise ValueError(
-            f"samples * strides * requests_per_stage is {requests} requests, "
-            f"over the budget of {MAX_REQUESTS}"
+            f"samples * strides is {requests} requests, over the budget of {MAX_REQUESTS}"
         )
     return requests
 
 
 def key_stream(scenario: Scenario, stages: StageModel) -> list[list[CacheKey]]:
-    """Per-sample cache keys requested during one pass over the stream.
+    """Per-sample cache keys requested during one pass over the stream, one
+    per stage in stride order.
 
     Raises:
         ValueError: over ``MAX_REQUESTS`` requests, before any key is built.
@@ -172,12 +169,8 @@ def key_stream(scenario: Scenario, stages: StageModel) -> list[list[CacheKey]]:
     check_requests(scenario, stages)
     stream = []
     for side in scenario.external_sides():
-        sample_keys = []
-        for stride in stages.strides:
-            shape = stages.internal_shape(side, stride)
-            key = CacheKey(shape.height, shape.width)
-            sample_keys.extend([key] * stages.requests_per_stage)
-        stream.append(sample_keys)
+        shapes = [stages.internal_shape(side, stride) for stride in stages.strides]
+        stream.append([CacheKey(shape.height, shape.width) for shape in shapes])
     return stream
 
 
@@ -208,7 +201,6 @@ class BenchReport:
     scenario: str
     samples: int
     strides: tuple[int, ...]
-    requests_per_stage: int
     capacity: int
     seed: int
     batch: int
@@ -251,24 +243,19 @@ def _run_pass(
 ) -> tuple[int, int, list[int]]:
     """Forward the listed samples of ``stream`` through ``cache``.
 
-    Stage s of a sample requests that sample's keys [s*r, (s+1)*r), where
-    r is ``stages.requests_per_stage``. Returns (index-service ns,
-    end-to-end ns, per-stage index-service ns).
+    Stage s of a sample requests that sample's key s. Returns
+    (index-service ns, end-to-end ns, per-stage index-service ns).
     """
-    r = stages.requests_per_stage
     stage_ns = [0] * len(stages.strides)
     total_ns = 0
     for i in samples:
-        for s_idx in range(len(stages.strides)):
-            keys = stream[i][s_idx * r : (s_idx + 1) * r]
-            shape = keys[0].shape
+        for s_idx, key in enumerate(stream[i]):
             # Synthetic input preparation stays outside the timers.
             rng = np.random.default_rng([seed & 0xFFFFFFFF, i, s_idx])
-            data = rng.standard_normal((batch, channels, shape.length))
-            feature_map = FeatureMap(data=data, shape=shape)
+            data = rng.standard_normal((batch, channels, key.shape.length))
+            feature_map = FeatureMap(data=data, shape=key.shape)
             t0 = time.perf_counter_ns()
-            for key in keys:
-                pair = cache.get_or_build(key)
+            pair = cache.get_or_build(key)
             t1 = time.perf_counter_ns()
             multi_direction_scan(feature_map, pair, params)
             t2 = time.perf_counter_ns()
@@ -334,12 +321,11 @@ def run_scenario(
 
     cold_ms = cold_latency_ns / n / 1e6
     warm_ms = warm_latency_ns / n / 1e6
-    r = stages.requests_per_stage
     per_stage = [
         {
             "stride": stride,
-            "requests": n * r,
-            "unique_keys": len({k for sample in stream for k in sample[s * r : (s + 1) * r]}),
+            "requests": n,
+            "unique_keys": len({sample[s] for sample in stream}),
             "cold_index_ms": cold_stage_ns[s] / 1e6,
             "warm_index_ms": warm_stage_ns[s] / 1e6,
         }
@@ -350,7 +336,6 @@ def run_scenario(
         scenario=scenario.name,
         samples=n,
         strides=stages.strides,
-        requests_per_stage=stages.requests_per_stage,
         capacity=cache.capacity,
         seed=seed,
         batch=batch,

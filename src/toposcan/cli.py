@@ -12,7 +12,8 @@ The environment variable TOPOSCAN_SEED, when set, overrides any --seed.
 Every failure, a malformed command line included, exits 1 with a one-line
 error JSON on stderr; nothing exits 2. Counts must be integers >= 1, and sizes
 whose largest array would exceed MAX_CELLS elements are rejected, both before
-anything is allocated.
+anything is allocated. A bench scenario requests one index per sample and
+stride, at most bench.MAX_REQUESTS per pass.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                                choices=["fixed", "two-scale", "multi-scale", "unique"])
     scenario_args.add_argument("--samples", type=int, default=100)
     scenario_args.add_argument("--strides", type=_strides, default=(4, 8, 16, 32))
-    scenario_args.add_argument("--requests-per-stage", type=int, default=1)
 
     run = bench_sub.add_parser("run", parents=[scenario_args],
                                help="run a scenario and emit a report")
@@ -153,10 +153,7 @@ def _scenario_and_stages(
     args: argparse.Namespace, seed: int = 0
 ) -> tuple[bench.Scenario, bench.StageModel]:
     scenario = bench.make_scenario(args.scenario, sample_count=args.samples, seed=seed)
-    stages = bench.StageModel(
-        strides=args.strides, requests_per_stage=args.requests_per_stage
-    )
-    return scenario, stages
+    return scenario, bench.StageModel(strides=args.strides)
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 # would otherwise pay that import (about 15 ms) inside a caller's first forward.
 from numpy.random import default_rng
 
-from .scan_order import _require_instance, _require_int, _require_real
+from .scan_order import _require_instance, _require_int, _require_real, _require_real_array
 
 __all__ = [
     "GateConfig",
@@ -31,9 +31,7 @@ __all__ = [
     "GateDiagnostics",
     "effective_projection_width",
     "projection_matrix",
-    "project_and_normalize",
     "gate_weight",
-    "fuse",
     "fuse_with_diagnostics",
 ]
 
@@ -85,7 +83,7 @@ class BranchPair:
 
     def __post_init__(self) -> None:
         for name in ("f_cross", "f_topoa"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.asarray(_require_real_array(name, getattr(self, name)), dtype=np.float64)
             if arr.ndim != 3:
                 raise ValueError(f"{name} must be 3-D (batch, channels, length)")
             if not np.all(np.isfinite(arr)):
@@ -153,12 +151,12 @@ def _sketch(length: int, width: int, seed: int) -> tuple[np.ndarray, np.ndarray]
 def projection_matrix(length: int, width: int, seed: int = 0) -> np.ndarray:
     """Dense (length, width) form of the gate's seeded sign sketch.
 
-    Row i holds one nonzero, the sign of position i in its column (see
-    :func:`project_and_normalize`); no 1/sqrt(width) scale is applied,
-    because squared norms are already unbiased. The matrix is built on
-    each call, read-only and C-contiguous; a shorter length gives bitwise
-    the prefix of a longer one, and the same arguments always give the
-    same matrix.
+    Row i holds one nonzero: the sign of position i in its column, from
+    the draw that :func:`fuse_with_diagnostics` sketches with. No
+    1/sqrt(width) scale is applied, because squared norms are already
+    unbiased. The matrix is built on each call, read-only and
+    C-contiguous; a shorter length gives bitwise the prefix of a longer
+    one, and the same arguments always give the same matrix.
     """
     columns, signs = _sketch(length, width, seed)
     dense = np.zeros((len(columns), width))
@@ -167,36 +165,18 @@ def projection_matrix(length: int, width: int, seed: int = 0) -> np.ndarray:
     return dense
 
 
-def project_and_normalize(features: np.ndarray, width: int, seed: int = 0) -> np.ndarray:
-    """Sketch channel rows to ``width`` entries and normalize each to unit length.
-
-    Args:
-        features: (..., channels, L) array.
-        width: sketch width, at least 1.
-        seed: sketch seed.
-
-    Returns:
-        (..., channels, width) descriptors: rows are (f @ S) / sqrt(L) for
-        the seeded sign sketch S, ``projection_matrix(L, width, seed)``,
-        computed as one weighted ``np.bincount`` that adds sign * f to its
-        column, then scaled to unit L2 norm. Rows with norm below 1e-12 are
-        left as zeros instead of being divided. The norm is taken of each
-        row divided by a power of two near its largest magnitude, which is
-        exact, so squaring cannot overflow however large the features are.
-
-    Raises:
-        ValueError: for scalar features, an empty last axis, or a width that
-            is not an integer >= 1.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim < 1:
-        raise ValueError("features must be at least 1-D, got a scalar")
-    columns, signs = _sketch(features.shape[-1], width, seed)
-    return _unit_rows(features * signs, columns, width)
-
-
 def _unit_rows(signed: np.ndarray, columns: np.ndarray, width: int) -> np.ndarray:
-    """The normalized sketch of (..., L) rows already multiplied by their signs."""
+    """Unit-length (..., width) descriptors of (..., L) rows f already
+    multiplied by their signs.
+
+    Each row is (f @ S) / sqrt(L) for the seeded sign sketch S
+    (``projection_matrix(L, width, seed)``), computed as one weighted
+    ``np.bincount`` that adds sign * f to its column, then scaled to unit L2
+    norm. Rows with norm below ``ZERO_ROW_EPS`` stay zeros instead of being
+    divided. The norm is taken of each row divided by a power of two near
+    its largest magnitude (``frexp``/``ldexp``), which is exact, so squaring
+    cannot overflow however large the features are.
+    """
     *lead, length = signed.shape
     rows = math.prod(lead)
     index = (np.arange(rows)[:, None] * width + columns).ravel()
@@ -313,8 +293,3 @@ def fuse_with_diagnostics(
     fused += (1.0 - a) * pair.f_cross
     return fused, diagnostics
 
-
-def fuse(pair: BranchPair, cfg: GateConfig | None = None) -> np.ndarray:
-    """Fused (batch, channels, L) features; see :func:`fuse_with_diagnostics`."""
-    fused, _ = fuse_with_diagnostics(pair, cfg)
-    return fused

@@ -10,7 +10,9 @@ Three on-disk formats are supported, all dependency-free:
 
 PBM stores width before height and uses 1 for foreground. The raw format
 may carry multi-class label values; binarization against a class id
-happens at evaluation time.
+happens at evaluation time. Both writers take a non-empty 2-D bool, integer
+or float mask with finite entries and raise ``ValueError`` on any other mask,
+and on a path that is neither a ``str`` nor an ``os.PathLike``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scan_order import _require_int
+from .scan_order import _require_int, _require_mask
 
 __all__ = [
     "RAW_MAGIC",
@@ -63,9 +65,7 @@ class ManifestItem:
 def write_mask_raw(path: str | Path, mask: np.ndarray) -> None:
     """Write a 2-D label array in the raw dense format (values 0..255)."""
     path = _as_path(path)
-    arr = np.asarray(mask)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"mask must be a non-empty 2-D array, got shape {arr.shape}")
+    arr = _require_mask(mask)
     data = arr.astype(np.uint8)
     if not np.array_equal(data, arr):
         raise ValueError("raw masks must hold integer labels in 0..255")
@@ -76,12 +76,9 @@ def write_mask_raw(path: str | Path, mask: np.ndarray) -> None:
 
 
 def write_mask_pbm(path: str | Path, mask: np.ndarray, binary: bool = True) -> None:
-    """Write a binary mask as PBM (P4 when ``binary``, else ASCII P1)."""
+    """Write a binary mask as PBM (P4 when ``binary``, else ASCII P1); nonzero is foreground."""
     path = _as_path(path)
-    arr = np.asarray(mask)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"mask must be a non-empty 2-D array, got shape {arr.shape}")
-    bits = arr.astype(bool)
+    bits = _require_mask(mask).astype(bool)
     h, w = bits.shape
     with open(path, "wb") as fh:
         if binary:

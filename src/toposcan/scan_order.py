@@ -11,8 +11,10 @@ row-major (cell (i, j) gets index i*W + j):
 * the axis-aligned family: row-major, column-major, and their reversals,
   the classic four-direction serialization of visual state-space models.
 
-Each family is stored as its two base orders; the 4-by-L matrices of the
-four directions (base orders, then reversals) and their inverses are derived.
+Each family is stored as its two base orders, in an ``IndexPair`` that
+``build_topoa_indices`` or ``build_cross_indices`` returns; the 4-by-L
+matrices of the four directions (base orders, then reversals) and their
+inverses are derived.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 __all__ = [
     "GridShape",
     "IndexPair",
-    "build_base_diagonal",
     "build_topoa_indices",
     "build_cross_indices",
 ]
@@ -53,6 +54,25 @@ def _require_instance(name: str, value: object, cls: type) -> object:
     if not isinstance(value, cls):
         raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
     return value
+
+
+def _require_real_array(name: str, value: object) -> np.ndarray:
+    """``value`` as an ndarray, unconverted, if its dtype is bool, integer or
+    float; a complex, str or object array would lose or parse its values."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be a real array (bool, integer or float), got {arr.dtype}")
+    return arr
+
+
+def _require_mask(value: object) -> np.ndarray:
+    """``value`` as a non-empty 2-D real ndarray with finite entries, unconverted."""
+    arr = _require_real_array("mask", value)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"mask must be a non-empty 2-D array, got shape {arr.shape}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError("mask must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -91,10 +111,12 @@ class IndexPair:
 
     ``base`` rows are the diagonal and anti-diagonal (diagonal family) or
     row- and column-major order (axis-aligned family), must permute
-    0 .. L-1, and are stored as int64 (2, L), read-only. When ``base[1]``
-    is the column mirror of ``base[0]`` (the diagonal family), the pair
-    also keeps ``mirror_rank``, the read-only int64 (L,) inverse of
-    ``base[0]``: each cell's rank in the first order. Otherwise it is
+    0 .. L-1, and are stored as int64 (2, L), read-only. A ``base`` that
+    does not own its memory (a view) is copied, so no write through its
+    owner can change the pair; an owning array is kept as it is. When
+    ``base[1]`` is the column mirror of ``base[0]`` (the diagonal family),
+    the pair also keeps ``mirror_rank``, the read-only int64 (L,) inverse
+    of ``base[0]``: each cell's rank in the first order. Otherwise it is
     None. Equality is identity, so pairs are hashable.
 
     ``forward`` and ``inverse`` derive the (4, L) matrices of the four
@@ -108,6 +130,8 @@ class IndexPair:
 
     def __post_init__(self) -> None:
         _require_instance("shape", self.shape, GridShape)
+        if isinstance(self.base, np.ndarray) and not self.base.flags.owndata:
+            object.__setattr__(self, "base", self.base.copy())
         inverse = _inverse_rows(self.base, self.shape.length)
         self.base.setflags(write=False)
         grid = (2, self.shape.height, self.shape.width)
@@ -139,16 +163,19 @@ class IndexPair:
         return out
 
 
-def build_base_diagonal(shape: GridShape) -> np.ndarray:
-    """Base diagonal order: segments s = i + j for s = 0 .. H+W-2.
+def build_topoa_indices(shape: GridShape) -> IndexPair:
+    """Build the diagonal-family index pair for a grid.
 
-    Segment s spans rows lo = max(s-W+1, 0) .. hi = min(s, H-1) and is
-    traversed top-to-bottom on even s, bottom-to-top on odd s, which joins
-    consecutive segments at 4-neighbors. No sort: each cell's rank is the
-    cell count of the earlier segments plus i - lo (even) or hi - i (odd).
-
-    Returns:
-        int64 array of length L, a permutation of 0 .. L-1.
+    Base rows: [diagonal, anti-diagonal]. The diagonal order visits
+    segments s = i + j for s = 0 .. H+W-2; segment s spans rows
+    lo = max(s-W+1, 0) .. hi = min(s, H-1) and is traversed top-to-bottom
+    on even s, bottom-to-top on odd s, which joins consecutive segments at
+    4-neighbors. No sort: each cell's rank is the cell count of the earlier
+    segments plus i - lo (even) or hi - i (odd). The anti-diagonal order
+    groups cells by i - j: it is the diagonal order of the column-reflected
+    grid, each index i*W + j of the diagonal moved to i*W + (W-1-j). The
+    derived reversals flip the completed length-L sequences, not the
+    individual segments.
     """
     _require_instance("shape", shape, GridShape)
     h, w = shape.height, shape.width
@@ -156,22 +183,9 @@ def build_base_diagonal(shape: GridShape) -> np.ndarray:
     s = i + j
     counts = np.bincount(s)
     place = np.where(s % 2 == 0, i - np.maximum(s - w + 1, 0), np.minimum(s, h - 1) - i)
-    order = np.empty(shape.length, dtype=np.int64)
-    order[(np.cumsum(counts) - counts)[s] + place] = np.arange(shape.length)
-    return order
-
-
-def build_topoa_indices(shape: GridShape) -> IndexPair:
-    """Build the diagonal-family index pair for a grid.
-
-    Base rows: [diagonal, anti-diagonal]. The anti-diagonal order groups
-    cells by i - j: it is the diagonal order of the column-reflected grid,
-    each index i*W + j of the one diagonal built moved to i*W + (W-1-j).
-    The derived reversals flip the completed length-L sequences, not the
-    individual segments.
-    """
-    diagonal = build_base_diagonal(shape)
-    mirrored = diagonal + (shape.width - 1) - 2 * (diagonal % shape.width)
+    diagonal = np.empty(shape.length, dtype=np.int64)
+    diagonal[(np.cumsum(counts) - counts)[s] + place] = np.arange(shape.length)
+    mirrored = diagonal + (w - 1) - 2 * (diagonal % w)
     return IndexPair(np.stack([diagonal, mirrored]), shape)
 
 

@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scan_order import GridShape, IndexPair, _require_instance, _require_real
+from .scan_order import GridShape, IndexPair, _require_instance, _require_real, _require_real_array
 
 CHUNK = 64
 """Steps per chunk of the chunked scan."""
@@ -85,7 +85,7 @@ class SsmParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.asarray(_require_real_array(name, getattr(self, name)), dtype=np.float64)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D array")
             arr.setflags(write=False)
@@ -219,7 +219,7 @@ class FeatureMap:
 
     def __post_init__(self) -> None:
         _require_instance("shape", self.shape, GridShape)
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(_require_real_array("data", self.data), dtype=np.float64)
         if data.ndim != 3:
             raise ValueError(f"data must be 3-D (batch, channels, length), got ndim={data.ndim}")
         if data.shape[2] != self.shape.length:
@@ -321,7 +321,7 @@ def scan_sequence(x: np.ndarray, params: SsmParams) -> np.ndarray:
             not an :class:`SsmParams`.
     """
     _require_instance("params", params, SsmParams)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(_require_real_array("x", x), dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got ndim={x.ndim}")
     if not np.all(np.isfinite(x)):

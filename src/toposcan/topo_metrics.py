@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scan_order import _require_instance
+from .scan_order import _require_instance, _require_mask
 
 __all__ = [
     "TopoSummary",
@@ -29,15 +29,6 @@ __all__ = [
 ]
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
-
-
-def _as_mask(mask: np.ndarray) -> np.ndarray:
-    arr = np.asarray(mask)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"mask must be a non-empty 2-D array, got shape {arr.shape}")
-    if arr.dtype.kind not in "biuf":
-        raise ValueError(f"mask must be a bool or numeric array, got dtype {arr.dtype}")
-    return arr.astype(bool)
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,7 @@ def count_components(mask: np.ndarray) -> int:
     """Number of 8-connected foreground components (0 for an empty mask)."""
     from scipy import ndimage
 
-    mask = _as_mask(mask)
+    mask = _require_mask(mask).astype(bool)
     _, count = ndimage.label(mask, structure=_EIGHT_CONNECTED)
     return int(count)
 
@@ -87,7 +78,7 @@ def count_holes(mask: np.ndarray) -> int:
     """
     from scipy import ndimage
 
-    mask = _as_mask(mask)
+    mask = _require_mask(mask).astype(bool)
     labels, count = ndimage.label(~mask)
     if count == 0:
         return 0
@@ -112,8 +103,8 @@ def topo_errors(pred: np.ndarray, gt: np.ndarray) -> TopoErrors:
     Raises:
         ValueError: if the mask shapes differ.
     """
-    pred = _as_mask(pred)
-    gt = _as_mask(gt)
+    pred = _require_mask(pred).astype(bool)
+    gt = _require_mask(gt).astype(bool)
     if pred.shape != gt.shape:
         raise ValueError(f"mask shapes differ: {pred.shape} vs {gt.shape}")
     cce = abs(count_components(pred) - count_components(gt))

@@ -19,13 +19,11 @@ from toposcan.hsic_gate import (
     _hsic,
     _rbf,
     _sq_dists,
-    fuse,
     fuse_with_diagnostics,
 )
 from toposcan.scan_cache import CacheKey, ScanCache
 from toposcan.scan_order import (
     GridShape,
-    build_base_diagonal,
     build_cross_indices,
     build_topoa_indices,
 )
@@ -67,7 +65,7 @@ def test_criterion_2_locality_suite():
     for h in range(1, 33):
         for w in range(1, 33):
             shape = GridShape(h, w)
-            diag = build_base_diagonal(shape)
+            diag = build_topoa_indices(shape).base[0]
             anti = build_topoa_indices(shape).base[1]
             for order in (diag, anti, diag[::-1], anti[::-1]):
                 i, j = np.divmod(order, shape.width)
@@ -83,8 +81,8 @@ def test_criterion_2_locality_suite():
 
 
 def test_criterion_3_known_vectors():
-    assert build_base_diagonal(GridShape(2, 2)).tolist() == [0, 2, 1, 3]
-    assert build_base_diagonal(GridShape(3, 3)).tolist() == [0, 3, 1, 2, 4, 6, 7, 5, 8]
+    assert build_topoa_indices(GridShape(2, 2)).base[0].tolist() == [0, 2, 1, 3]
+    assert build_topoa_indices(GridShape(3, 3)).base[0].tolist() == [0, 3, 1, 2, 4, 6, 7, 5, 8]
     assert build_topoa_indices(GridShape(2, 2)).base[1].tolist() == [1, 3, 0, 2]
     report_pass(3, "hand-traced order vectors for 2x2 and 3x3 grids")
 
@@ -234,7 +232,8 @@ def test_criterion_8_hsic_suite():
     assert abs(_hsic(np.stack((g @ g.T, ones)))) <= 1e-12
 
     f = rng.standard_normal((2, 6, 40))
-    np.testing.assert_allclose(fuse(BranchPair(f_cross=f, f_topoa=f.copy())), f, rtol=1e-12)
+    fused, _ = fuse_with_diagnostics(BranchPair(f_cross=f, f_topoa=f.copy()))
+    np.testing.assert_allclose(fused, f, rtol=1e-12)
 
     ft = rng.standard_normal((1, 5, 30))
     fc = np.tile(rng.standard_normal((1, 1, 30)), (1, 5, 1))

@@ -60,8 +60,6 @@ class TestScenarios:
             StageModel(strides=(4, 4))
         with pytest.raises(ValueError):
             StageModel(strides=(8, 4))
-        with pytest.raises(ValueError):
-            StageModel(requests_per_stage=0)
         with pytest.raises(ValueError, match="sequence of integers"):
             StageModel(strides=5)
 
@@ -71,9 +69,6 @@ class TestScenarios:
             {"strides": (4.5, 8)},
             {"strides": (4, 8.0)},
             {"strides": (True, 8)},
-            {"requests_per_stage": 1.5},
-            {"requests_per_stage": True},
-            {"requests_per_stage": "2"},
         ],
     )
     def test_stage_model_takes_integers_only(self, kwargs):
@@ -98,10 +93,10 @@ class TestScenarios:
             Scenario(name="fixed", **kwargs)
 
     def test_numpy_integers_become_ints(self):
-        stages = StageModel(strides=(np.int64(4), np.int32(8)), requests_per_stage=np.int64(2))
+        stages = StageModel(strides=(np.int64(4), np.int32(8)))
         scenario = Scenario(name="fixed", sample_count=np.int64(3))
-        values = [*stages.strides, stages.requests_per_stage, scenario.sample_count]
-        assert values == [4, 8, 2, 3]
+        values = [*stages.strides, scenario.sample_count]
+        assert values == [4, 8, 3]
         assert all(type(v) is int for v in values)
 
 
@@ -114,14 +109,6 @@ class TestAnalyticOracle:
         scenario = Scenario(name="fixed", sample_count=1)
         assert analytic_hit_rate(scenario, StageModel()) == 0.0
 
-    def test_requests_per_stage_scales_totals(self):
-        scenario = Scenario(name="fixed", sample_count=10)
-        stages = StageModel(strides=(8, 16), requests_per_stage=3)
-        keys = [k for sample in key_stream(scenario, stages) for k in sample]
-        assert len(keys) == 60
-        assert analytic_hit_rate(scenario, stages) == 100.0 * (60 - 2) / 60
-
-    @pytest.mark.parametrize("requests_per_stage", [1, 3])
     @pytest.mark.parametrize(
         "scenario",
         [
@@ -133,8 +120,8 @@ class TestAnalyticOracle:
         ],
         ids=lambda scenario: scenario.name,
     )
-    def test_matches_key_enumeration(self, scenario, requests_per_stage):
-        stages = StageModel(requests_per_stage=requests_per_stage)
+    def test_matches_key_enumeration(self, scenario):
+        stages = StageModel()
         keys = [k for sample in key_stream(scenario, stages) for k in sample]
         enumerated = 100.0 * (len(keys) - len(set(keys))) / len(keys)
         assert analytic_hit_rate(scenario, stages) == enumerated
@@ -190,20 +177,19 @@ class TestRunScenario:
         assert report.fps == 1000.0 / report.warm_ms
         assert report.total_requests == 6 * len(SMALL_STAGES.strides)
 
-    def test_stages_slice_repeated_requests(self):
-        # Each stage issues three requests for its one key, so a pass over
-        # the stream requests n * stages * 3 keys. Sides 256 and 512 give
+    def test_per_stage_report_counts_each_stage_once(self):
+        # Each stage issues one request per sample. Sides 256 and 512 give
         # stage keys 16/8 and 32/16: two per stage, three in all.
         scenario = make_scenario("two-scale", sample_count=4, seed=0)
-        stages = StageModel(strides=(16, 32), requests_per_stage=3)
+        stages = StageModel(strides=(16, 32))
         report = run_scenario(scenario, stages, cache_capacity=64, channels=1)
-        assert report.total_requests == 4 * 2 * 3
+        assert report.total_requests == 4 * 2
         assert [s["stride"] for s in report.per_stage] == [16, 32]
-        assert [s["requests"] for s in report.per_stage] == [12, 12]
+        assert [s["requests"] for s in report.per_stage] == [4, 4]
         assert [s["unique_keys"] for s in report.per_stage] == [2, 2]
         assert report.unique_keys == 3
         assert report.hit_rate_pct == analytic_hit_rate(scenario, stages)
-        assert report.hit_rate_pct == 100.0 * (24 - 3) / 24
+        assert report.hit_rate_pct == 100.0 * (8 - 3) / 8
         assert report.warm_hit_rate_pct == 100.0
 
     @pytest.mark.parametrize(

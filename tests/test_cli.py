@@ -105,6 +105,36 @@ class TestBench:
             k: v for k, v in second.items() if k not in timing
         }
 
+    def test_run_json_keys(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "run", "--scenario", "two-scale", "--samples", "8",
+            "--strides", "16,32", "--capacity", "64", "--seed", "0",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {
+            "scenario", "samples", "strides", "capacity", "seed", "batch", "channels",
+            "total_requests", "unique_keys", "hit_rate_pct", "warm_hit_rate_pct",
+            "cold_ms", "warm_ms", "reduction_pct", "fps", "cold_index_ms_total",
+            "warm_index_ms_total", "index_reduction_pct", "per_stage",
+        }
+        assert [set(stage) for stage in payload["per_stage"]] == 2 * [
+            {"stride", "requests", "unique_keys", "cold_index_ms", "warm_index_ms"}
+        ]
+        assert (payload["total_requests"], payload["unique_keys"]) == (16, 3)
+        assert (payload["hit_rate_pct"], payload["warm_hit_rate_pct"]) == (81.25, 100.0)
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_requests_per_stage_flag_is_gone(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, "bench", command, "--scenario", "fixed", "--requests-per-stage", "2"
+        )
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "ValueError", "message": "unrecognized arguments: --requests-per-stage 2"
+        }
+
     def test_oracle(self, capsys):
         # Pins each scenario's sides at the defaults (100 samples, strides 4,8,16,32).
         expected = {"fixed": 99.0, "two-scale": 98.75, "multi-scale": 95.75, "unique": 75.25}
@@ -120,7 +150,8 @@ class TestBench:
             ("--samples", "10000000"),
             # Four default strides: one sample past the budget.
             ("--samples", str(MAX_REQUESTS // 4 + 1)),
-            ("--samples", "2", "--requests-per-stage", str(MAX_REQUESTS)),
+            # Two strides: one sample past the budget.
+            ("--samples", str(MAX_REQUESTS // 2 + 1), "--strides", "16,32"),
         ],
     )
     def test_request_stream_over_budget_reports_error(self, capsys, command, flags):
@@ -255,7 +286,6 @@ class TestCellBudget:
 # Every count flag, the argv it completes and the library's name for the setting.
 COUNT_FLAGS = [
     (("bench", "run", "--scenario", "fixed"), "--samples", "sample_count"),
-    (("bench", "run", "--scenario", "fixed"), "--requests-per-stage", "requests_per_stage"),
     (("bench", "run", "--scenario", "fixed"), "--capacity", "capacity"),
     (("bench", "run", "--scenario", "fixed"), "--batch", "batch"),
     (("bench", "run", "--scenario", "fixed"), "--channels", "channels"),
@@ -362,7 +392,6 @@ _SCENARIO = _flags(
     scenario=st.sampled_from(["fixed", "two-scale", "multi-scale", "unique", "bogus"]),
     samples=_int_flag(1, 3),
     strides=st.sampled_from(["16,32", "8,32", "32", "32,16", "0,8", "a,b"]),
-    requests_per_stage=_int_flag(1, 2),
 )
 _SEED = st.integers(-(2**40), 2**40).map(str)
 _REAL = st.one_of(st.floats(0.0, 2.0), st.floats(allow_nan=True, allow_infinity=True)).map(str)

@@ -2,6 +2,7 @@
 wrong-typed arguments to public entry points raise ValueError."""
 
 import importlib
+import os
 import pkgutil
 
 import numpy as np
@@ -15,16 +16,15 @@ from toposcan import (
     GridShape,
     ScanCache,
     Scenario,
+    SsmParams,
     StageModel,
     aggregate,
     analytic_hit_rate,
-    build_base_diagonal,
     build_cross_indices,
     build_topoa_indices,
     default_params,
     discretize,
     emit_report,
-    fuse,
     fuse_with_diagnostics,
     gate_weight,
     multi_direction_scan,
@@ -55,6 +55,16 @@ DATA = np.ones((1, 2, 6))
 FM = FeatureMap(DATA, GridShape(2, 3))
 PAIR = build_topoa_indices(GridShape(2, 3))
 BRANCHES = BranchPair(f_cross=DATA, f_topoa=DATA)
+OBJECT_MASK = np.array([[None, 1], ["a", 0]], dtype=object)
+STR_MASK = np.array([["0", "1"], ["1", "0"]])
+
+
+def params_with(**arrays):
+    """SsmParams with the default's a, b and c, except those given."""
+    default = default_params()
+    fields = {"a": default.a, "b": default.b, "c": default.c, **arrays}
+    return SsmParams(**fields, d=default.d, delta=default.delta)
+
 
 WRONG_TYPED_CALLS = {
     "FeatureMap-shape-tuple": lambda: FeatureMap(DATA, (2, 3)),
@@ -63,13 +73,12 @@ WRONG_TYPED_CALLS = {
     ),
     "multi_direction_scan-params-None": lambda: multi_direction_scan(FM, PAIR, None),
     "get_or_build-key-tuple": lambda: ScanCache().get_or_build((2, 2)),
-    "fuse-cfg-dict": lambda: fuse(BRANCHES, {"rho": 0.1}),
+    "fuse_with_diagnostics-cfg-dict": lambda: fuse_with_diagnostics(BRANCHES, {"rho": 0.1}),
     "fuse_with_diagnostics-pair-tuple": lambda: fuse_with_diagnostics((DATA, DATA)),
     "gate_weight-cfg-None": lambda: gate_weight(0.1, None),
     "gate_weight-hsic-str": lambda: gate_weight("a", GateConfig()),
     "effective_projection_width-d_proj-str": lambda: effective_projection_width("a", 3),
     "build_topoa_indices-shape-tuple": lambda: build_topoa_indices((2, 3)),
-    "build_base_diagonal-shape-tuple": lambda: build_base_diagonal((2, 3)),
     "build_cross_indices-shape-tuple": lambda: build_cross_indices((2, 3)),
     "discretize-params-None": lambda: discretize(None),
     "scan_sequence-params-None": lambda: scan_sequence(np.ones(3), None),
@@ -89,6 +98,16 @@ WRONG_TYPED_CALLS = {
     "binarize-class_id-str": lambda: binarize(np.ones((2, 2), np.uint8), "1"),
     "binarize-class_id-float": lambda: binarize(np.ones((2, 2), np.uint8), 1.0),
     "topo_summary-mask-object": lambda: topo_summary(np.array([[None, 1]], dtype=object)),
+    "write_mask_raw-mask-object": lambda: write_mask_raw(os.devnull, OBJECT_MASK),
+    "write_mask_raw-mask-str": lambda: write_mask_raw(os.devnull, STR_MASK),
+    "write_mask_pbm-mask-object": lambda: write_mask_pbm(os.devnull, OBJECT_MASK),
+    "write_mask_pbm-mask-str": lambda: write_mask_pbm(os.devnull, STR_MASK),
+    "FeatureMap-data-complex": lambda: FeatureMap(DATA + 1j, GridShape(2, 3)),
+    "BranchPair-f_cross-complex": lambda: BranchPair(f_cross=DATA + 1j, f_topoa=DATA),
+    "SsmParams-a-complex": lambda: params_with(a=default_params().a + 1j),
+    "SsmParams-b-str": lambda: params_with(b=np.array(["1", "1", "1", "1"])),
+    "SsmParams-c-object": lambda: params_with(c=np.ones(4, dtype=object)),
+    "scan_sequence-x-str": lambda: scan_sequence(np.array(["1", "2"]), default_params()),
 }
 
 

@@ -27,11 +27,10 @@ from toposcan.hsic_gate import (
     _rbf,
     _sketch,
     _sq_dists,
+    _unit_rows,
     effective_projection_width,
-    fuse,
     fuse_with_diagnostics,
     gate_weight,
-    project_and_normalize,
     projection_matrix,
 )
 
@@ -83,6 +82,14 @@ def projection_reference(length, width, seed):
     dense = np.zeros((length, width))
     dense[np.arange(length), draw % width] = np.where(draw < width, 1.0, -1.0)
     return dense
+
+
+def project_and_normalize(features, width, seed=0):
+    """The gate's unit descriptors of (..., C, L) features: one branch
+    sketched and normalized by ``_sketch`` and ``_unit_rows``."""
+    features = np.asarray(features, dtype=np.float64)
+    columns, signs = _sketch(features.shape[-1], width, seed)
+    return _unit_rows(features * signs, columns, width)
 
 
 def unit_rows(x):
@@ -206,7 +213,7 @@ class TestProjection:
 
     @pytest.mark.parametrize(
         "shape, width",
-        [((1, 2, 0), 8), ((1, 2, 10), 0), ((1, 2, 10), 2.5), ((1, 2, 10), True), ((), 8)],
+        [((1, 2, 0), 8), ((1, 2, 10), 0), ((1, 2, 10), 2.5), ((1, 2, 10), True)],
     )
     def test_rejects_empty_length_and_bad_width(self, shape, width):
         with pytest.raises(ValueError, match="must be"):
@@ -487,7 +494,7 @@ class TestFuse:
     def test_identical_branches_fixed_point(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((2, 6, 40))
-        out = fuse(BranchPair(f_cross=f, f_topoa=f.copy()))
+        out, _ = fuse_with_diagnostics(BranchPair(f_cross=f, f_topoa=f.copy()))
         np.testing.assert_allclose(out, f, rtol=1e-12)
 
     def test_forced_zero_score_blend(self):
@@ -515,13 +522,13 @@ class TestFuse:
     def test_full_residual_returns_topoa(self):
         rng = np.random.default_rng(6)
         fc, ft = rng.standard_normal((2, 1, 4, 25))
-        out = fuse(BranchPair(f_cross=fc, f_topoa=ft), GateConfig(rho=1.0))
+        out, _ = fuse_with_diagnostics(BranchPair(f_cross=fc, f_topoa=ft), GateConfig(rho=1.0))
         np.testing.assert_allclose(out, ft, rtol=0, atol=0)
 
     def test_output_within_convex_envelope(self):
         rng = np.random.default_rng(7)
         fc, ft = rng.standard_normal((2, 2, 4, 50))
-        out = fuse(BranchPair(f_cross=fc, f_topoa=ft))
+        out, _ = fuse_with_diagnostics(BranchPair(f_cross=fc, f_topoa=ft))
         lower = np.minimum(fc, ft)
         upper = np.maximum(fc, ft)
         slack = 1e-12 * np.maximum(np.abs(lower), np.abs(upper))
@@ -587,7 +594,9 @@ class TestFuse:
 
     def test_single_channel_rejected(self):
         with pytest.raises(ValueError):
-            fuse(BranchPair(f_cross=np.zeros((1, 1, 8)), f_topoa=np.zeros((1, 1, 8))))
+            fuse_with_diagnostics(
+                BranchPair(f_cross=np.zeros((1, 1, 8)), f_topoa=np.zeros((1, 1, 8)))
+            )
 
 
 def per_branch_descriptors(features, width, seed):

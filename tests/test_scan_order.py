@@ -13,10 +13,10 @@ from toposcan.cli import main
 from toposcan.scan_order import (
     GridShape,
     IndexPair,
-    build_base_diagonal,
     build_cross_indices,
     build_topoa_indices,
 )
+from toposcan.ssm import FeatureMap, default_params, multi_direction_scan
 
 shapes = st.builds(
     GridShape,
@@ -36,6 +36,11 @@ def four_row_reference(pair):
     for k in range(4):
         inverse[k, forward[k]] = np.arange(pair.shape.length)
     return forward, inverse
+
+
+def diagonal(shape):
+    """The diagonal order: the first base row of the diagonal family."""
+    return build_topoa_indices(shape).base[0]
 
 
 def antidiagonal(shape):
@@ -71,13 +76,13 @@ REFERENCE_SHAPES = [GridShape(h, w) for h in range(1, 41) for w in range(1, 41)]
 
 class TestKnownVectors:
     def test_diagonal_2x2(self):
-        assert build_base_diagonal(GridShape(2, 2)).tolist() == [0, 2, 1, 3]
+        assert diagonal(GridShape(2, 2)).tolist() == [0, 2, 1, 3]
 
     def test_diagonal_3x3(self):
-        assert build_base_diagonal(GridShape(3, 3)).tolist() == [0, 3, 1, 2, 4, 6, 7, 5, 8]
+        assert diagonal(GridShape(3, 3)).tolist() == [0, 3, 1, 2, 4, 6, 7, 5, 8]
 
     def test_diagonal_1x1(self):
-        assert build_base_diagonal(GridShape(1, 1)).tolist() == [0]
+        assert diagonal(GridShape(1, 1)).tolist() == [0]
 
     def test_antidiagonal_2x2(self):
         assert antidiagonal(GridShape(2, 2)).tolist() == [1, 3, 0, 2]
@@ -87,7 +92,7 @@ class TestKnownVectors:
 
     def test_antidiagonal_1x3_is_column_reflected_diagonal(self):
         shape = GridShape(1, 3)
-        diag = build_base_diagonal(shape)
+        diag = diagonal(shape)
         i, j = coords(diag, shape)
         reflected = i * shape.width + (shape.width - 1 - j)
         assert antidiagonal(shape).tolist() == reflected.tolist()
@@ -148,7 +153,7 @@ class TestStructure:
     @given(shapes)
     @settings(max_examples=60, deadline=None)
     def test_reflection_symmetry(self, shape):
-        diag = build_base_diagonal(shape)
+        diag = diagonal(shape)
         i, j = coords(diag, shape)
         reflected = i * shape.width + (shape.width - 1 - j)
         assert np.array_equal(antidiagonal(shape), reflected)
@@ -169,7 +174,7 @@ class TestStructure:
 class TestClosedFormRank:
     @pytest.mark.parametrize(
         "build,mirror_columns",
-        [(build_base_diagonal, False), (antidiagonal, True)],
+        [(diagonal, False), (antidiagonal, True)],
         ids=["diagonal", "antidiagonal"],
     )
     def test_equals_lexsort_reference_bitwise(self, build, mirror_columns):
@@ -178,12 +183,6 @@ class TestClosedFormRank:
             expected = lexsort_reference(shape, mirror_columns)
             assert order.dtype == np.int64, shape
             assert order.tobytes() == expected.tobytes(), shape
-
-    def test_topoa_base_stacks_the_public_builders(self):
-        # Row 1, the anti-diagonal, is checked against its lexsort reference above.
-        for shape in REFERENCE_SHAPES:
-            base = build_topoa_indices(shape).base
-            assert np.array_equal(base[0], build_base_diagonal(shape)), shape
 
 
 class TestDerivedLayout:
@@ -221,8 +220,7 @@ class TestDerivedLayout:
         for h in range(1, 9):
             for w in range(1, 9):
                 shape = GridShape(h, w)
-                diagonal = build_base_diagonal(shape)
-                mirrored = IndexPair(np.stack([diagonal, antidiagonal(shape)]), shape)
+                mirrored = IndexPair(np.stack([diagonal(shape), antidiagonal(shape)]), shape)
                 assert np.array_equal(mirrored.mirror_rank, mirrored.inverse[0]), (h, w)
                 swapped = IndexPair(mirrored.base[::-1].copy(), shape)  # also mirrored
                 assert np.array_equal(swapped.mirror_rank, swapped.inverse[0]), (h, w)
@@ -244,6 +242,21 @@ class TestDerivedLayout:
         pair = IndexPair(base, GridShape(2, 3))
         assert pair.base is base
         assert not base.flags.writeable
+
+    @pytest.mark.parametrize("shape", [GridShape(3, 4), GridShape(9, 15)])
+    def test_base_view_is_copied(self, shape):
+        # A pair built from a view must not change when the view's owner is
+        # written: mirror_rank would no longer invert base[0], and the scan
+        # would return wrong values without raising.
+        fresh = build_topoa_indices(shape)
+        owner = fresh.base.copy()
+        pair = IndexPair(owner[:], shape)
+        owner[[0, 1]] = owner[[1, 0]]  # still two permutations
+        assert np.array_equal(pair.base, fresh.base)
+        x = FeatureMap(np.random.default_rng(3).standard_normal((2, 3, shape.length)), shape)
+        got = multi_direction_scan(x, pair, default_params()).data
+        want = multi_direction_scan(x, fresh, default_params()).data
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_equality_is_identity_and_pairs_hash(self):
         first = build_topoa_indices(GridShape(3, 3))
@@ -306,7 +319,7 @@ class TestLocality:
 
     def test_known_distance_multiset_3x3(self):
         shape = GridShape(3, 3)
-        distances = step_distances(build_base_diagonal(shape), shape)
+        distances = step_distances(diagonal(shape), shape)
         r2 = math.sqrt(2.0)
         assert sorted(distances.tolist()) == sorted([1, r2, 1, r2, r2, 1, r2, 1])
 

@@ -182,6 +182,19 @@ class TestErrors:
         with pytest.raises(ValueError):
             topo_errors(np.zeros((2, 2)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "measure",
+        [count_components, count_holes, topo_summary, lambda m: topo_errors(np.zeros((3, 3)), m)],
+        ids=["count_components", "count_holes", "topo_summary", "topo_errors"],
+    )
+    def test_non_finite_cell_rejected(self, measure, value):
+        # A NaN cell is neither foreground nor background; it must not count as either.
+        mask = np.zeros((3, 3))
+        mask[1, 1] = value
+        with pytest.raises(ValueError, match="mask must be finite"):
+            measure(mask)
+
 
 class TestAggregate:
     def test_single_perfect_pair(self):

@@ -165,17 +165,19 @@ def projection_matrix(length: int, width: int, seed: int = 0) -> np.ndarray:
     return dense
 
 
-def _unit_rows(signed: np.ndarray, columns: np.ndarray, width: int) -> np.ndarray:
+def _unit_rows(signed: np.ndarray, columns: np.ndarray, width: int, k: int) -> np.ndarray:
     """Unit-length (..., width) descriptors of (..., L) rows f already
-    multiplied by their signs.
+    multiplied by their signs and by 2^-k, with 2^k >= L.
 
     Each row is (f @ S) / sqrt(L) for the seeded sign sketch S
     (``projection_matrix(L, width, seed)``), computed as one weighted
-    ``np.bincount`` that adds sign * f to its column, then scaled to unit L2
-    norm. Rows with norm below ``ZERO_ROW_EPS`` stay zeros instead of being
-    divided. The norm is taken of each row divided by a power of two near
-    its largest magnitude (``frexp``/``ldexp``), which is exact, so squaring
-    cannot overflow however large the features are.
+    ``np.bincount`` that adds 2^-k sign * f to its column, then scaled to
+    unit L2 norm. The 2^-k is exact and keeps a column's sum of up to L
+    finite features finite. Rows whose norm, 2^k times the scaled one, is
+    below ``ZERO_ROW_EPS`` stay zeros instead of being divided. The norm is
+    taken of each row divided by a power of two near its largest magnitude
+    (``frexp``/``ldexp``), which is exact, so squaring cannot overflow
+    however large the features are.
     """
     *lead, length = signed.shape
     rows = math.prod(lead)
@@ -185,7 +187,7 @@ def _unit_rows(signed: np.ndarray, columns: np.ndarray, width: int) -> np.ndarra
     _, exponent = np.frexp(np.maximum.reduce(np.abs(projected), axis=-1, keepdims=True))
     scaled = np.ldexp(projected, -exponent)
     scaled_norms = np.sqrt(np.add.reduce(scaled * scaled, axis=-1, keepdims=True))
-    zero = np.ldexp(scaled_norms, exponent) < ZERO_ROW_EPS
+    zero = np.ldexp(scaled_norms, exponent) < math.ldexp(ZERO_ROW_EPS, -k)
     if not zero.any():
         return scaled / scaled_norms
     return np.where(zero, 0.0, scaled / np.where(zero, 1.0, scaled_norms))
@@ -279,11 +281,13 @@ def fuse_with_diagnostics(
         raise ValueError("gating needs at least 2 channels")
     width = effective_projection_width(cfg.d_proj, length)
     columns, signs = _sketch(length, width, cfg.seed)
+    k = (length - 1).bit_length()  # the least k with 2^k >= L
+    signs = np.ldexp(signs, -k)
     # Both branches go through the gate as one (2, B, C, .) stack.
     signed = np.empty((2, batch, channels, length))
     np.multiply(pair.f_cross, signs, out=signed[0])
     np.multiply(pair.f_topoa, signs, out=signed[1])
-    dists = _sq_dists(_unit_rows(signed, columns, width))
+    dists = _sq_dists(_unit_rows(signed, columns, width, k))
     sigma_sq = _bandwidth(dists[0], dists[1])
     scores = _hsic(_rbf(dists, sigma_sq))
     items = zip(scores.tolist(), sigma_sq.tolist())

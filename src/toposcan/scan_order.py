@@ -11,16 +11,15 @@ row-major (cell (i, j) gets index i*W + j):
 * the axis-aligned family: row-major, column-major, and their reversals,
   the classic four-direction serialization of visual state-space models.
 
-Each family is stored as its two base orders, in an ``IndexPair`` that
-``build_topoa_indices`` or ``build_cross_indices`` returns; the 4-by-L
-matrices of the four directions (base orders, then reversals) and their
-inverses are derived.
+Each family is stored as its two base orders and, unless axis-aligned,
+their inverses, in an ``IndexPair`` that ``build_topoa_indices`` or
+``build_cross_indices`` returns; the 4-by-L matrices of the four
+directions (base orders, then reversals) and their inverses are derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +98,9 @@ def _inverse_rows(base: np.ndarray, length: int) -> np.ndarray:
     if not 0 <= base.min() <= base.max() < length:
         raise ValueError(f"base holds entries outside 0 .. {length - 1}")
     inverse = np.full_like(base, -1)  # a repeated index leaves a -1 behind
-    np.put_along_axis(inverse, base, np.arange(length), axis=-1)
+    positions = np.arange(length)
+    for row, order in zip(inverse, base):
+        row[order] = positions
     if inverse.min() < 0:
         raise ValueError(f"base rows must be permutations of 0 .. {length - 1}")
     return inverse
@@ -111,41 +112,33 @@ class IndexPair:
 
     ``base`` rows are the diagonal and anti-diagonal (diagonal family) or
     row- and column-major order (axis-aligned family), must permute
-    0 .. L-1, and are stored as int64 (2, L), read-only. A ``base`` that
-    does not own its memory (a view) is copied, so no write through its
-    owner can change the pair; an owning array is kept as it is. When
-    ``base[1]`` is the column mirror of ``base[0]`` (the diagonal family),
-    the pair also keeps ``mirror_rank``, the read-only int64 (L,) inverse
-    of ``base[0]``: each cell's rank in the first order. Otherwise it is
-    None. Equality is identity, so pairs are hashable.
+    0 .. L-1, and are stored as a read-only int64 (2, L) copy of the
+    array passed in, so no later write to that array changes the pair.
+    ``axis_aligned`` tells whether the rows are row-major then
+    column-major order. Every other pair also keeps ``rank``, the
+    read-only int64 (2, L) inverse of ``base``: each cell's position in
+    each order; an axis-aligned pair keeps None. Equality is identity, so
+    pairs are hashable.
 
     ``forward`` and ``inverse`` derive the (4, L) matrices of the four
     directions on each call; rows 2 and 3 reverse rows 0 and 1.
-    ``axis_aligned`` is read from ``base`` once, on first use.
     """
 
     base: np.ndarray
     shape: GridShape
-    mirror_rank: np.ndarray | None = field(init=False, default=None, repr=False)
+    axis_aligned: bool = field(init=False)
+    rank: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_instance("shape", self.shape, GridShape)
-        if isinstance(self.base, np.ndarray) and not self.base.flags.owndata:
-            object.__setattr__(self, "base", self.base.copy())
-        inverse = _inverse_rows(self.base, self.shape.length)
-        self.base.setflags(write=False)
-        grid = (2, self.shape.height, self.shape.width)
-        # base[1] mirrors base[0] exactly when each cell's rank in row 1 is
-        # its column mirror's rank in row 0.
-        if np.array_equal(inverse.reshape(grid)[0], inverse.reshape(grid)[1, :, ::-1]):
-            rank = inverse[0].copy()  # not a view that keeps both rows alive
-            rank.setflags(write=False)
-            object.__setattr__(self, "mirror_rank", rank)
-
-    @cached_property
-    def axis_aligned(self) -> bool:
-        """Whether the base rows are row-major then column-major order."""
-        return bool(np.array_equal(self.base, _axis_aligned_base(self.shape)))
+        base = self.base.copy() if isinstance(self.base, np.ndarray) else self.base
+        rank = _inverse_rows(base, self.shape.length)
+        axis_aligned = bool(np.array_equal(base, _axis_aligned_base(self.shape)))
+        for arr in (base, rank):
+            arr.setflags(write=False)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "axis_aligned", axis_aligned)
+        object.__setattr__(self, "rank", None if axis_aligned else rank)
 
     @property
     def forward(self) -> np.ndarray:
@@ -157,8 +150,8 @@ class IndexPair:
     @property
     def inverse(self) -> np.ndarray:
         """Read-only (4, L) inverses of ``forward``, row for row."""
-        base_inverse = _inverse_rows(self.base, self.shape.length)
-        out = np.concatenate([base_inverse, self.shape.length - 1 - base_inverse])
+        rank = _inverse_rows(self.base, self.shape.length) if self.rank is None else self.rank
+        out = np.concatenate([rank, self.shape.length - 1 - rank])
         out.setflags(write=False)
         return out
 

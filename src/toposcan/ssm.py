@@ -8,13 +8,11 @@ The recurrence is the discretized diagonal linear system
 with zero-order-hold discretization a_bar = exp(delta * a) and
 b_bar = (exp(delta * a) - 1) / a * b. ``multi_direction_scan`` runs it
 along four directions as the forward and backward scans of an index
-pair's two base orders, scatters the results back through the same
-orders, and sums the restored maps as (r0 + r2) + (r1 + r3). An
-axis-aligned pair's orders are the raster and its transpose, so it is
-gathered and restored by transposes instead. A mirrored pair's second
-order is the column mirror of its first (the diagonal family), so both
-results are restored by one gather through the first order's rank, with
-the second flipped back by columns. Both give bitwise the scatter's sum.
+pair's two base orders, restores the results to raster order by
+gathering through each order's stored inverse, and sums the restored
+maps as (r0 + r2) + (r1 + r3). An axis-aligned pair's orders are the
+raster and its transpose, so it is gathered and restored by transposes
+instead, bitwise to the same sum.
 
 The scan is evaluated in chunks of ``CHUNK`` steps, the block
 decomposition of Mamba-2's state-space duality (Dao & Gu, 2024) applied
@@ -340,18 +338,15 @@ def multi_direction_scan(
     gathered once by ``indices.base`` and each base sequence g gets one
     two-sided scan: one symmetric product per chunk, with a forward and a
     backward carry, equal to ``scan(g) + scan(g[::-1])[::-1]`` to
-    rounding. Each result is scattered back to raster order once through
-    the base row it was gathered by; the restored maps sum in the order
-    (r0 + r2) + (r1 + r3).
+    rounding. Each result is restored to raster order by one gather
+    through the inverse of the base row it was gathered by
+    (``indices.rank``), and the restored maps sum in the order
+    (r0 + r2) + (r1 + r3): bitwise the scatter through ``base``.
 
     An axis-aligned pair (``indices.axis_aligned``) moves no index: its
     base rows are the raster itself and its transpose, so the gather
     copies the map and its (W, H) transpose, and the restore adds row 0
-    to row 1 transposed back. A mirrored pair (``indices.mirror_rank``
-    set) restores both rows by one gather through that rank: row 0 comes
-    back in raster order, row 1 in column-mirrored raster order, so its
-    columns are flipped back before the add. Both results are bitwise
-    those of the gather and scatter through ``base``.
+    to row 1 transposed back, bitwise the same sum.
 
     Raises:
         ValueError: if an argument is not of its annotated type, or
@@ -378,13 +373,6 @@ def multi_direction_scan(
         return FeatureMap(data=merged.reshape(batch, channels, length), shape=x.shape)
     g = np.take(x.data, indices.base, axis=-1)  # (B, C, 2, L)
     both = _scan_last_axis(g, params, two_sided=True)
-    if indices.mirror_rank is not None:
-        r = np.take(both, indices.mirror_rank, axis=-1)  # row 1 in column-mirrored raster order
-        grid = (*x.data.shape[:2], x.shape.height, x.shape.width)
-        merged = r[..., 0, :].reshape(grid) + r[..., 1, :].reshape(grid)[..., ::-1]
-        return FeatureMap(data=merged.reshape(x.data.shape), shape=x.shape)
-    merged, rest = np.empty(x.data.shape), np.empty(x.data.shape)  # base rows are permutations
-    merged[..., indices.base[0]] = both[..., 0, :]
-    rest[..., indices.base[1]] = both[..., 1, :]
-    merged += rest
+    merged = np.take(both[..., 0, :], indices.rank[0], axis=-1)
+    merged += np.take(both[..., 1, :], indices.rank[1], axis=-1)
     return FeatureMap(data=merged, shape=x.shape)

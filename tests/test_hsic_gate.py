@@ -86,10 +86,12 @@ def projection_reference(length, width, seed):
 
 def project_and_normalize(features, width, seed=0):
     """The gate's unit descriptors of (..., C, L) features: one branch
-    sketched and normalized by ``_sketch`` and ``_unit_rows``."""
+    sketched and normalized by ``_sketch`` and ``_unit_rows``, its signs
+    scaled by 2^-k with 2^k >= L as the gate scales them."""
     features = np.asarray(features, dtype=np.float64)
     columns, signs = _sketch(features.shape[-1], width, seed)
-    return _unit_rows(features * signs, columns, width)
+    k = (features.shape[-1] - 1).bit_length()
+    return _unit_rows(features * np.ldexp(signs, -k), columns, width, k)
 
 
 def unit_rows(x):
@@ -518,6 +520,23 @@ class TestFuse:
             np.testing.assert_allclose(
                 getattr(big[0], name), getattr(unit[0], name), rtol=1e-12, atol=0
             )
+
+    @pytest.mark.parametrize("scale", [1e307, 1e308])
+    def test_diagnostics_hold_near_the_float_max(self, scale):
+        # Features signed like their sketch column add up without cancelling,
+        # so the 64 in each column sum past the float max unless the sketch
+        # scales them down first. An overflow or invalid-value RuntimeWarning
+        # fails the test through the pytest configuration.
+        length = 4096
+        signs = projection_matrix(length, 64).sum(axis=-1)
+        fc, ft = np.random.default_rng(9).uniform(0.5, 1.0, (2, 2, 6, length)) * signs
+        _, unit = fuse_with_diagnostics(BranchPair(f_cross=fc, f_topoa=ft))
+        _, big = fuse_with_diagnostics(BranchPair(f_cross=fc * scale, f_topoa=ft * scale))
+        for item in range(2):
+            for name in ("hsic", "sigma_sq", "w"):
+                np.testing.assert_allclose(
+                    getattr(big[item], name), getattr(unit[item], name), rtol=1e-9, atol=0
+                )
 
     def test_full_residual_returns_topoa(self):
         rng = np.random.default_rng(6)

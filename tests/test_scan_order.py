@@ -197,35 +197,36 @@ class TestDerivedLayout:
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_stores_only_frozen_int64_base(self, build):
-        # base, plus the first order's rank row for mirrored (diagonal-family) pairs only.
+        # base always, plus its inverse rows (rank) for pairs that are not axis aligned.
         shape = GridShape(5, 7)
         pair = build(shape)
-        mirrored = build is build_topoa_indices
+        aligned = build is build_cross_indices
+        assert pair.axis_aligned is aligned
         stored = {k: v for k, v in vars(pair).items() if isinstance(v, np.ndarray)}
-        assert set(stored) == ({"base", "mirror_rank"} if mirrored else {"base"})
-        assert pair.base.dtype == np.int64
-        assert pair.base.shape == (2, shape.length)
+        assert set(stored) == ({"base"} if aligned else {"base", "rank"})
         for arr in stored.values():
-            assert arr.dtype == np.int64 and arr.base is None
+            assert arr.dtype == np.int64 and arr.shape == (2, shape.length)
+            assert arr.flags.owndata and arr.base is None
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
-        if mirrored:
-            assert pair.mirror_rank.shape == (shape.length,)
-            assert np.array_equal(pair.mirror_rank, pair.inverse[0])
+        if aligned:
+            assert pair.rank is None
         else:
-            assert pair.mirror_rank is None
+            assert np.array_equal(pair.rank, pair.inverse[:2])
 
-    def test_mirror_rank_is_kept_for_column_mirrored_pairs_only(self):
+    def test_rank_is_kept_unless_axis_aligned(self):
+        rng = np.random.default_rng(17)
         for h in range(1, 9):
             for w in range(1, 9):
                 shape = GridShape(h, w)
-                mirrored = IndexPair(np.stack([diagonal(shape), antidiagonal(shape)]), shape)
-                assert np.array_equal(mirrored.mirror_rank, mirrored.inverse[0]), (h, w)
-                swapped = IndexPair(mirrored.base[::-1].copy(), shape)  # also mirrored
-                assert np.array_equal(swapped.mirror_rank, swapped.inverse[0]), (h, w)
-                cross = build_cross_indices(shape)
-                assert (cross.mirror_rank is None) == (w > 1), (h, w)
+                topoa, cross = build_topoa_indices(shape), build_cross_indices(shape)
+                permuted = np.stack([rng.permutation(shape.length) for _ in range(2)])
+                for base in (topoa.base, topoa.base[::-1], cross.base, cross.base[::-1], permuted):
+                    pair = IndexPair(base, shape)
+                    assert (pair.rank is None) == pair.axis_aligned, (h, w)
+                    if pair.rank is not None:
+                        assert np.array_equal(pair.rank, four_row_reference(pair)[1][:2]), (h, w)
 
     @pytest.mark.parametrize("build", BUILDERS)
     def test_derived_arrays_are_read_only(self, build):
@@ -237,23 +238,44 @@ class TestDerivedLayout:
             with pytest.raises(ValueError):
                 arr[2, 0] = 1
 
-    def test_base_is_kept_as_passed(self):
-        base = np.stack([np.arange(6), np.arange(6)[::-1]])
-        pair = IndexPair(base, GridShape(2, 3))
-        assert pair.base is base
-        assert not base.flags.writeable
+    def test_base_is_always_copied(self):
+        # An axis-aligned and a reversed base: each pair keeps its own copy,
+        # and the caller's array stays writable.
+        row_major = np.arange(6)
+        for base in (np.stack([row_major, row_major.reshape(2, 3).T.ravel()]),
+                     np.stack([row_major, row_major[::-1]])):
+            pair = IndexPair(base, GridShape(2, 3))
+            assert np.array_equal(pair.base, base)
+            assert not np.shares_memory(pair.base, base)
+            assert base.flags.writeable
 
     @pytest.mark.parametrize("shape", [GridShape(3, 4), GridShape(9, 15)])
     def test_base_view_is_copied(self, shape):
         # A pair built from a view must not change when the view's owner is
-        # written: mirror_rank would no longer invert base[0], and the scan
-        # would return wrong values without raising.
+        # written: rank would no longer invert base, and the scan would
+        # return wrong values without raising.
         fresh = build_topoa_indices(shape)
         owner = fresh.base.copy()
         pair = IndexPair(owner[:], shape)
         owner[[0, 1]] = owner[[1, 0]]  # still two permutations
         assert np.array_equal(pair.base, fresh.base)
         x = FeatureMap(np.random.default_rng(3).standard_normal((2, 3, shape.length)), shape)
+        got = multi_direction_scan(x, pair, default_params()).data
+        want = multi_direction_scan(x, fresh, default_params()).data
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [GridShape(3, 4), GridShape(9, 15)])
+    def test_owning_base_with_a_live_alias_is_copied(self, shape):
+        # The array passed in owns its memory, but a view made before the
+        # pair still writes to it.
+        fresh = build_topoa_indices(shape)
+        owner = fresh.base.copy()
+        alias = owner[:]
+        pair = IndexPair(owner, shape)
+        alias[[0, 1]] = alias[[1, 0]]  # still two permutations
+        assert np.array_equal(pair.base, fresh.base)
+        assert np.array_equal(pair.rank, fresh.rank)
+        x = FeatureMap(np.random.default_rng(5).standard_normal((2, 3, shape.length)), shape)
         got = multi_direction_scan(x, pair, default_params()).data
         want = multi_direction_scan(x, fresh, default_params()).data
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -299,12 +321,12 @@ class TestAxisAligned:
                     assert np.array_equal(pair.inverse, inverse), (h, w)
 
     def test_flag_is_computed_once_and_cannot_be_set(self):
-        pair = build_cross_indices(GridShape(4, 5))
-        assert "axis_aligned" not in vars(pair)
-        assert pair.axis_aligned is True
-        assert vars(pair)["axis_aligned"] is True
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            pair.axis_aligned = False
+        # Set at construction as a plain field, before any read.
+        for pair, aligned in ((build_cross_indices(GridShape(4, 5)), True),
+                              (build_topoa_indices(GridShape(4, 5)), False)):
+            assert vars(pair)["axis_aligned"] is aligned
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pair.axis_aligned = not aligned
 
 
 class TestLocality:

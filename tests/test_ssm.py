@@ -77,8 +77,8 @@ def gather_by_inverse_reference(fm, pair, params):
 
 
 def scatter_through_base_reference(fm, pair, params):
-    """The general path: gather by ``np.take`` on the base rows, scan both ways,
-    scatter each row back through its base row into its own buffer, then add."""
+    """Gather by ``np.take`` on the base rows, scan both ways, scatter each
+    row back through its base row into its own buffer, then add."""
     g = np.take(fm.data, pair.base, axis=-1)
     both = _scan_last_axis(g, params, two_sided=True)
     merged, rest = np.empty(fm.data.shape), np.empty(fm.data.shape)
@@ -499,7 +499,7 @@ class TestAxisAlignedPath:
                 assert np.array_equal(out.data, ref), shape
 
 
-class TestMirrorRankPath:
+class TestGatheredRestore:
     # The four fixed_warm stage shapes, a padded last chunk, and single-row
     # and single-column grids (a 300 x 1 topoa pair is axis aligned instead).
     SHAPES = [GridShape(s, s) for s in (128, 64, 32, 16)] + [
@@ -510,12 +510,31 @@ class TestMirrorRankPath:
         rng = np.random.default_rng(61)
         for shape in self.SHAPES:
             pair = build_topoa_indices(shape)
-            assert pair.mirror_rank is not None, shape
+            assert pair.axis_aligned == (shape.width == 1), shape
             fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
             for params in (default_params(), random_params(rng, 3)):
                 out = multi_direction_scan(fm, pair, params)
                 assert out.data.shape == fm.data.shape and out.data.flags.c_contiguous
                 assert np.array_equal(out.data, scatter_through_base_reference(fm, pair, params))
+
+    def test_permuted_and_swapped_pairs_equal_the_scatter_through_base_bitwise(self):
+        # Random permutations and both families with their rows swapped:
+        # pairs no builder returns restore by the same rule.
+        rng = np.random.default_rng(67)
+        grids = [GridShape(h, w) for h in range(1, 13) for w in range(1, 13)]
+        for shape in grids + [GridShape(1, 300), GridShape(300, 1)]:
+            fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
+            permuted = np.stack([rng.permutation(shape.length) for _ in range(2)])
+            for base in (
+                permuted,
+                build_topoa_indices(shape).base[::-1],
+                build_cross_indices(shape).base[::-1],
+            ):
+                pair = IndexPair(base, shape)
+                for params in (default_params(), random_params(rng, 3)):
+                    out = multi_direction_scan(fm, pair, params)
+                    ref = scatter_through_base_reference(fm, pair, params)
+                    assert np.array_equal(out.data, ref), shape
 
 
 class TestFeatureMap:

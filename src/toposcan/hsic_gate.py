@@ -23,7 +23,8 @@ import numpy as np
 # would otherwise pay that import (about 15 ms) inside a caller's first forward.
 from numpy.random import default_rng
 
-from .scan_order import _require_instance, _require_int, _require_real, _require_real_array
+from .scan_order import _require_float_array, _require_instance, _require_int, _require_real
+from .ssm import FeatureMap
 
 __all__ = [
     "GateConfig",
@@ -65,9 +66,6 @@ class GateConfig:
         object.__setattr__(self, "seed", _require_int("seed", self.seed))
         for name in ("alpha", "temperature", "rho"):
             object.__setattr__(self, name, _require_real(name, getattr(self, name)))
-        for name in ("alpha", "temperature"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if not 0.0 <= self.rho <= 1.0:
@@ -83,11 +81,7 @@ class BranchPair:
 
     def __post_init__(self) -> None:
         for name in ("f_cross", "f_topoa"):
-            arr = np.asarray(_require_real_array(name, getattr(self, name)), dtype=np.float64)
-            if arr.ndim != 3:
-                raise ValueError(f"{name} must be 3-D (batch, channels, length)")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+            arr = _require_float_array(name, getattr(self, name), 3)
             if arr.shape[0] < 1:
                 raise ValueError(f"{name} must hold at least one batch item")
             object.__setattr__(self, name, arr)
@@ -97,8 +91,10 @@ class BranchPair:
             )
 
     @classmethod
-    def from_feature_maps(cls, cross, topoa) -> "BranchPair":
+    def from_feature_maps(cls, cross: FeatureMap, topoa: FeatureMap) -> "BranchPair":
         """Build from two :class:`~toposcan.ssm.FeatureMap` objects."""
+        _require_instance("cross", cross, FeatureMap)
+        _require_instance("topoa", topoa, FeatureMap)
         return cls(f_cross=cross.data, f_topoa=topoa.data)
 
 
@@ -250,8 +246,6 @@ def gate_weight(hsic: float, cfg: GateConfig) -> float:
     """
     hsic = _require_real("hsic", hsic)
     _require_instance("cfg", cfg, GateConfig)
-    if not math.isfinite(hsic):
-        raise ValueError(f"hsic must be finite, got {hsic}")
     try:
         return 1.0 / (1.0 + math.exp(-(cfg.alpha * hsic / cfg.temperature)))
     except OverflowError:

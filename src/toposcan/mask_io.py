@@ -86,8 +86,10 @@ def write_mask_pbm(path: str | Path, mask: np.ndarray, binary: bool = True) -> N
             fh.write(np.packbits(bits, axis=1).tobytes())
         else:
             fh.write(f"P1\n{w} {h}\n".encode("ascii"))
-            for row in bits:
-                fh.write((" ".join("1" if v else "0" for v in row) + "\n").encode("ascii"))
+            text = np.full((h, 2 * w), ord(" "), dtype=np.uint8)
+            text[:, ::2] = bits + ord("0")
+            text[:, -1] = ord("\n")
+            fh.write(text.tobytes())
 
 
 def _pbm_tokens(data: bytes):
@@ -233,10 +235,8 @@ def read_manifest(path: str | Path) -> list[ManifestItem]:
         if not (isinstance(item["pred"], str) and isinstance(item["gt"], str)):
             raise ValueError(f"{path}: item {idx} 'pred' and 'gt' must be strings")
         class_id = item.get("class_id")
-        if class_id is not None and (
-            not isinstance(class_id, int) or isinstance(class_id, bool)
-        ):
-            raise ValueError(f"{path}: item {idx} class_id must be an integer or null")
+        if class_id is not None:
+            _require_int(f"{path}: item {idx} class_id", class_id)
         parsed.append(
             ManifestItem(
                 pred=base / item["pred"],

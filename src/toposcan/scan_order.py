@@ -19,6 +19,7 @@ directions (base orders, then reversals) and their inverses are derived.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +43,16 @@ def _require_int(name: str, value: object, minimum: int | None = None) -> int:
 
 
 def _require_real(name: str, value: object) -> float:
-    """``value`` as a ``float`` if it is a Python or NumPy real (never a bool)."""
+    """``value`` as a finite ``float`` if it is a Python or NumPy real (never a bool)."""
     if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf if value > 0 else -math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {real}")
+    return real
 
 
 def _require_instance(name: str, value: object, cls: type) -> object:
@@ -61,6 +68,17 @@ def _require_real_array(name: str, value: object) -> np.ndarray:
     arr = np.asarray(value)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be a real array (bool, integer or float), got {arr.dtype}")
+    return arr
+
+
+def _require_float_array(name: str, value: object, ndim: int) -> np.ndarray:
+    """``value`` as a finite float64 ndarray of rank ``ndim``, uncopied if it is one."""
+    with np.errstate(over="ignore"):  # a longdouble beyond float64 fails below as inf
+        arr = np.asarray(_require_real_array(name, value), dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     return arr
 
 

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scan_order import GridShape, IndexPair, _require_instance, _require_real, _require_real_array
+from .scan_order import GridShape, IndexPair, _require_float_array, _require_instance, _require_real
 
 CHUNK = 64
 """Steps per chunk of the chunked scan."""
@@ -65,7 +65,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SsmParams:
-    """Diagonal state-space coefficients.
+    """Diagonal state-space coefficients; ``a``, ``b`` and ``c`` are read-only copies.
 
     Attributes:
         a: per-state transition coefficients, strictly negative (stable).
@@ -83,17 +83,13 @@ class SsmParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c"):
-            arr = np.asarray(_require_real_array(name, getattr(self, name)), dtype=np.float64)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError(f"{name} must be a non-empty 1-D array")
+            arr = _require_float_array(name, getattr(self, name), 1).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not (self.a.shape == self.b.shape == self.c.shape):
-            raise ValueError("a, b, c must have identical shapes")
+        if not (self.a.shape == self.b.shape == self.c.shape) or self.a.size == 0:
+            raise ValueError("a, b, c must be non-empty and of identical shapes")
         for name in ("d", "delta"):
             object.__setattr__(self, name, _require_real(name, getattr(self, name)))
-        if not all(np.isfinite(v).all() for v in (self.a, self.b, self.c, [self.d, self.delta])):
-            raise ValueError("a, b, c, d and delta must be finite")
         if not np.all(self.a < 0):
             raise ValueError("all state-transition coefficients must be strictly negative")
         if not self.delta > 0:
@@ -217,15 +213,11 @@ class FeatureMap:
 
     def __post_init__(self) -> None:
         _require_instance("shape", self.shape, GridShape)
-        data = np.asarray(_require_real_array("data", self.data), dtype=np.float64)
-        if data.ndim != 3:
-            raise ValueError(f"data must be 3-D (batch, channels, length), got ndim={data.ndim}")
+        data = _require_float_array("data", self.data, 3)
         if data.shape[2] != self.shape.length:
             raise ValueError(
                 f"data length {data.shape[2]} does not match grid length {self.shape.length}"
             )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("feature values must be finite")
         object.__setattr__(self, "data", data)
 
     @property
@@ -319,12 +311,7 @@ def scan_sequence(x: np.ndarray, params: SsmParams) -> np.ndarray:
             not an :class:`SsmParams`.
     """
     _require_instance("params", params, SsmParams)
-    x = np.asarray(_require_real_array("x", x), dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence, got ndim={x.ndim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input sequence must be finite")
-    return _scan_last_axis(x, params)
+    return _scan_last_axis(_require_float_array("x", x, 1), params)
 
 
 def multi_direction_scan(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scan_order import _require_instance, _require_mask
+from .scan_order import _require_instance, _require_int, _require_mask
 
 __all__ = [
     "TopoSummary",
@@ -41,11 +41,19 @@ class TopoSummary:
 
 @dataclass(frozen=True)
 class TopoErrors:
-    """Per-pair errors: absolute count differences and exact-match flag."""
+    """Per-pair errors: absolute count differences (ints >= 0) and exact-match flag (0 or 1)."""
 
     cce: int
     hce: int
     etm: int
+
+    def __post_init__(self) -> None:
+        for name in ("cce", "hce"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), 0))
+        etm = _require_int("etm", self.etm, 0)
+        if etm > 1:
+            raise ValueError(f"etm must be 0 or 1, got {etm}")
+        object.__setattr__(self, "etm", etm)
 
 
 @dataclass(frozen=True)
@@ -122,9 +130,8 @@ def aggregate(items: Iterable[TopoErrors]) -> AggregateReport:
     errors = list(_require_instance("items", items, Iterable))
     if not errors:
         raise ValueError("cannot aggregate an empty batch")
-    for item in errors:
-        if not isinstance(item, TopoErrors):
-            raise ValueError(f"aggregate takes TopoErrors items, got {item!r}")
+    for idx, item in enumerate(errors):
+        _require_instance(f"items[{idx}]", item, TopoErrors)
     cce, hce, etm = np.mean([(e.cce, e.hce, e.etm) for e in errors], axis=0)
     n = len(errors)
     return AggregateReport(cce=float(cce), hce=float(hce), etm_pct=100.0 * float(etm), n=n)

@@ -2,6 +2,7 @@
 wrong-typed arguments to public entry points raise ValueError."""
 
 import importlib
+import math
 import os
 import pkgutil
 
@@ -34,7 +35,7 @@ from toposcan import (
 from toposcan.bench import check_requests
 from toposcan.hsic_gate import effective_projection_width
 from toposcan.mask_io import binarize, read_manifest, read_mask, write_mask_pbm, write_mask_raw
-from toposcan.topo_metrics import topo_summary
+from toposcan.topo_metrics import TopoErrors, topo_summary
 
 MODULES = sorted(
     f"toposcan.{info.name}" for info in pkgutil.iter_modules(toposcan.__path__)
@@ -108,6 +109,13 @@ WRONG_TYPED_CALLS = {
     "SsmParams-b-str": lambda: params_with(b=np.array(["1", "1", "1", "1"])),
     "SsmParams-c-object": lambda: params_with(c=np.ones(4, dtype=object)),
     "scan_sequence-x-str": lambda: scan_sequence(np.array(["1", "2"]), default_params()),
+    "GateConfig-alpha-beyond-float": lambda: GateConfig(alpha=10**400),
+    "SsmParams-d-beyond-float": lambda: SsmParams(
+        a=[-1.0], b=[1.0], c=[1.0], d=10**400, delta=0.1
+    ),
+    "gate_weight-hsic-beyond-float": lambda: gate_weight(10**400, GateConfig()),
+    "BranchPair.from_feature_maps-cross-None": lambda: BranchPair.from_feature_maps(None, FM),
+    "TopoErrors-cce-str": lambda: aggregate([TopoErrors("a", 0, 0)]),
 }
 
 
@@ -115,3 +123,46 @@ WRONG_TYPED_CALLS = {
 def test_wrong_typed_arguments_raise_value_error(case):
     with pytest.raises(ValueError, match="must be"):
         WRONG_TYPED_CALLS[case]()
+
+
+# A longdouble of 1e4000 is finite as itself and inf as a float64.
+NON_FINITE = {
+    "nan": math.nan,
+    "-inf": -math.inf,
+    "float32-inf": np.float32("inf"),
+    "longdouble-1e4000": np.longdouble("1e4000"),
+    "int-1e400": 10**400,
+    "int--1e400": -(10**400),
+}
+
+REAL_SETTINGS = {
+    "GateConfig-alpha": lambda v: GateConfig(alpha=v),
+    "GateConfig-rho": lambda v: GateConfig(rho=v),
+    "gate_weight-hsic": lambda v: gate_weight(v, GateConfig()),
+    "SsmParams-d": lambda v: SsmParams(a=[-1.0], b=[1.0], c=[1.0], d=v, delta=0.1),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("call", REAL_SETTINGS.values(), ids=REAL_SETTINGS.keys())
+def test_real_settings_must_be_finite(call, value):
+    with pytest.raises(ValueError, match=r"must be finite, got (-?inf|nan)$"):
+        call(value)
+
+
+FLOAT_ARRAYS = {
+    "FeatureMap-data": lambda arr: FeatureMap(arr.reshape(1, 1, 2), GridShape(1, 2)),
+    "BranchPair-f_topoa": lambda arr: BranchPair(
+        f_cross=np.ones((1, 1, 2)), f_topoa=arr.reshape(1, 1, 2)
+    ),
+    "SsmParams-b": lambda arr: SsmParams(a=[-1.0, -2.0], b=arr, c=[1.0, 1.0], d=0.0, delta=0.1),
+    "scan_sequence-x": lambda arr: scan_sequence(arr, default_params()),
+}
+
+
+@pytest.mark.parametrize("value", list(NON_FINITE.values())[:4], ids=list(NON_FINITE)[:4])
+@pytest.mark.parametrize("call", FLOAT_ARRAYS.values(), ids=FLOAT_ARRAYS.keys())
+def test_float_arrays_must_be_finite(call, value):
+    arr = np.array([1, value], dtype=np.asarray(value).dtype)
+    with pytest.raises(ValueError, match="must be finite$"):
+        call(arr)

@@ -61,6 +61,21 @@ class TestRoundTrips:
         assert read_mask(path).tolist() == [[1, 0, 1], [0, 1, 0]]
 
 
+def p1_by_loop(mask):
+    """The P1 file a per-pixel loop writes: reference for ``write_mask_pbm``."""
+    h, w = mask.shape
+    rows = "".join(" ".join("1" if v else "0" for v in row) + "\n" for row in mask)
+    return f"P1\n{w} {h}\n{rows}".encode("ascii")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5), (64, 48)])
+def test_p1_writer_matches_the_loop_bytes(tmp_path, shape):
+    mask = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape) < 0.5
+    path = tmp_path / "mask.pbm"
+    write_mask_pbm(path, mask, binary=False)
+    assert path.read_bytes() == p1_by_loop(mask)
+
+
 class TestErrors:
     def test_unknown_magic(self, tmp_path):
         path = tmp_path / "bogus.bin"
@@ -165,6 +180,14 @@ class TestManifest:
             json.dumps({"items": [{"pred": "p", "gt": "g", "class_id": class_id}]})
         )
         with pytest.raises(ValueError):
+            read_manifest(manifest)
+
+    @pytest.mark.parametrize("class_id", ["1", 1.0, [1]])
+    def test_class_id_message_names_path_and_item(self, tmp_path, class_id):
+        manifest = tmp_path / "class.json"
+        items = [{"pred": "p", "gt": "g"}, {"pred": "p", "gt": "g", "class_id": class_id}]
+        manifest.write_text(json.dumps({"items": items}))
+        with pytest.raises(ValueError, match=r"class\.json: item 1 class_id must be an integer"):
             read_manifest(manifest)
 
     @pytest.mark.parametrize("fields", [{"pred": None}, {"gt": 2}, {"pred": ["a"]}])

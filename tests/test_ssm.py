@@ -136,6 +136,22 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             SsmParams(**kwargs)
 
+    def test_params_copy_the_callers_arrays(self):
+        # An alias made before construction writes to the caller's array
+        # afterwards; neither the parameters nor their cached operators see it.
+        a = np.array([-1.0, -2.0])
+        alias = a[:]
+        params = SsmParams(a=a, b=np.ones(2), c=np.ones(2), d=0.0, delta=0.1)
+        shape = GridShape(9, 15)
+        fm = FeatureMap(np.random.default_rng(0).standard_normal((1, 2, shape.length)), shape)
+        pair = build_topoa_indices(shape)
+        before = multi_direction_scan(fm, pair, params).data
+        alias[:] = [-3.0, -4.0]
+        assert a.flags.writeable
+        assert np.array_equal(params.a, [-1.0, -2.0])
+        rebuilt = SsmParams(a=params.a, b=params.b, c=params.c, d=0.0, delta=0.1)
+        assert np.array_equal(multi_direction_scan(fm, pair, rebuilt).data, before)
+
 
 class TestScanSequence:
     def test_zero_input_zero_output(self):

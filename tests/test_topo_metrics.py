@@ -218,6 +218,25 @@ class TestAggregate:
         with pytest.raises(ValueError, match="TopoErrors"):
             aggregate([TopoErrors(0, 0, 1), item])
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("a", 0, 0), "cce must be an integer"),
+            ((0, 1.0, 0), "hce must be an integer"),
+            ((-1, 0, 0), "cce must be >= 0"),
+            ((0, 0, 2), "etm must be 0 or 1"),
+            ((0, 0, True), "etm must be an integer"),
+        ],
+    )
+    def test_topo_errors_fields_checked(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TopoErrors(*fields)
+
+    def test_topo_errors_store_ints(self):
+        errors = TopoErrors(np.int64(2), np.uint8(1), np.int32(0))
+        assert errors == TopoErrors(2, 1, 0)
+        assert all(type(v) is int for v in (errors.cce, errors.hce, errors.etm))
+
 
 class TestProperties:
     @given(st.integers(min_value=0, max_value=2**25 - 1))

@@ -32,9 +32,14 @@ A forward and a backward scan of one sequence sum to one symmetric
 Toeplitz kernel, K[|t - s|] with 2d on the diagonal: the bidirectional
 quasiseparable mixer of Hydra (Hwang et al., 2024). The two-sided scan
 applies it in the same chunked form. One product per chunk gives the
-symmetric local part, the end states and the start states; the end
-states are carried forward across chunk ends, the start states backward
-across chunk starts, and one more product adds both to each chunk.
+symmetric local part, the end states and the start states. The start
+states in reverse chunk order follow the causal recurrence, so they are
+carried as extra rows of the end states' one causal carry, and one more
+product adds both to each chunk.
+
+Each operator family is checked where it is first built: coefficients
+whose operators overflow fail with ``ValueError`` instead of scanning
+to inf.
 """
 
 from __future__ import annotations
@@ -61,6 +66,19 @@ __all__ = [
     "scan_sequence",
     "multi_direction_scan",
 ]
+
+
+def _frozen_operators(family: str, *operators: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``operators``, made read-only, after checking that every entry is finite.
+
+    Raises:
+        ValueError: naming ``family`` if an entry is inf or NaN.
+    """
+    if not all(np.isfinite(arr).all() for arr in operators):
+        raise ValueError(f"a, b, c and d give non-finite {family} scan operators")
+    for arr in operators:
+        arr.setflags(write=False)
+    return operators
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,19 +128,18 @@ class SsmParams:
         ``carry`` is (N, CHUNK) with entries c a_bar^(t+1): the response
         inside a chunk to the incoming state.
         """
-        a_bar, b_bar = discretize(self)
-        powers = a_bar ** np.arange(CHUNK + 1)[:, None]  # (CHUNK + 1, N)
-        impulse = powers[:CHUNK] @ (self.c * b_bar)
-        t = np.arange(CHUNK)
-        lag = t[None, :] - t[:, None]
-        step = np.empty((CHUNK, CHUNK + self.state_dim))
-        step[:, :CHUNK] = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
-        step[t, t] += self.d
-        step[:, CHUNK:] = powers[CHUNK - 1 - t] * b_bar
-        carry = (powers[1:] * self.c).T
-        for arr in (step, carry):
-            arr.setflags(write=False)
-        return step, carry
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_bar, b_bar = discretize(self)
+            powers = a_bar ** np.arange(CHUNK + 1)[:, None]  # (CHUNK + 1, N)
+            impulse = powers[:CHUNK] @ (self.c * b_bar)
+            t = np.arange(CHUNK)
+            lag = t[None, :] - t[:, None]
+            step = np.empty((CHUNK, CHUNK + self.state_dim))
+            step[:, :CHUNK] = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+            step[t, t] += self.d
+            step[:, CHUNK:] = powers[CHUNK - 1 - t] * b_bar
+            carry = (powers[1:] * self.c).T
+        return _frozen_operators("causal", step, carry)
 
     @cached_property
     def _two_sided_operators(self) -> tuple[np.ndarray, np.ndarray]:
@@ -138,32 +155,32 @@ class SsmParams:
         """
         causal, carry = self._chunk_operators
         kernel = causal[:, :CHUNK]
-        step = np.concatenate([kernel + kernel.T, causal[:, CHUNK:], causal[::-1, CHUNK:]], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            symmetric = kernel + kernel.T
+        step = np.concatenate([symmetric, causal[:, CHUNK:], causal[::-1, CHUNK:]], axis=1)
         carry = np.concatenate([carry, carry[:, ::-1]])
-        for arr in (step, carry):
-            arr.setflags(write=False)
-        return step, carry
+        return _frozen_operators("two-sided", step, carry)
 
     @cached_property
-    def _carry_store(self) -> dict[tuple[bool, int], tuple[np.ndarray, np.ndarray]]:
+    def _carry_store(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         return {}
 
-    def _carry_operators(self, two_sided: bool, level: int) -> tuple[np.ndarray, np.ndarray]:
+    def _carry_operators(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (block, entry) operators that carry chunk states at ``level``.
 
-        Level 0 carries chunk states with the per-chunk decay q = a_bar^CHUNK,
-        one per state (S = N) or, two-sided, twice (S = 2N); level k carries
-        the block ends of level k - 1 with q^(8^k). ``block`` is (8S, 8S)
-        with block[(u, s), (t, s)] = q_s^(t-u) for t >= u and 0 elsewhere:
-        the recurrence over 8 steps from a zero state. ``entry`` is (S, 8S)
+        Level 0 carries chunk states with the per-chunk decay
+        q = a_bar^CHUNK, one per state (S = N); level k carries the block
+        ends of level k - 1 with q^(8^k). ``block`` is (8S, 8S) with
+        block[(u, s), (t, s)] = q_s^(t-u) for t >= u and 0 elsewhere: the
+        recurrence over 8 steps from a zero state. ``entry`` is (S, 8S)
         with entry[s, (t, s)] = q_s^(t+1) and 0 elsewhere: the response to
         the state entering a block. Each level is built once; racing
         threads build the same values.
         """
-        operators = self._carry_store.get((two_sided, level))
+        operators = self._carry_store.get(level)
         if operators is None:
-            a_bar = np.tile(discretize(self)[0], 2 if two_sided else 1)
-            decay = a_bar ** (CHUNK * _CARRY_BLOCK**level)
+            with np.errstate(over="ignore", invalid="ignore"):
+                decay = discretize(self)[0] ** (CHUNK * _CARRY_BLOCK**level)
             powers = decay ** np.arange(_CARRY_BLOCK + 1)[:, None]  # (9, S)
             t = np.arange(_CARRY_BLOCK)
             lag = t[None, :] - t[:, None]  # [u, t]
@@ -171,10 +188,8 @@ class SsmParams:
             eye = np.eye(decay.shape[0])  # [s, s']
             block = (kernel[:, None] * eye[None, :, None]).reshape(-1, _CARRY_BLOCK * len(eye))
             entry = (powers[1:] * eye[:, None]).reshape(len(eye), -1)
-            operators = (block, entry)
-            for arr in operators:
-                arr.setflags(write=False)
-            self._carry_store[(two_sided, level)] = operators
+            operators = _frozen_operators("carry", block, entry)
+            self._carry_store[level] = operators
         return operators
 
 
@@ -243,17 +258,15 @@ def discretize(params: SsmParams) -> tuple[np.ndarray, np.ndarray]:
     return a_bar, b_bar
 
 
-def _carry_states(
-    states: np.ndarray, params: SsmParams, two_sided: bool, level: int = 0
-) -> np.ndarray:
+def _carry_states(states: np.ndarray, params: SsmParams, level: int = 0) -> np.ndarray:
     """h[j] = q * h[j-1] + states[:, j] (h[-1] = 0) of a (rows, m, S) array,
-    with q the decay of ``level`` (see ``SsmParams._carry_operators``).
+    with S = N and q the decay of ``level`` (see ``SsmParams._carry_operators``).
 
-    One product per sequence and block of 8 steps runs the recurrence from
-    a zero state; the block ends, carried by this same function one level
+    One product per row and block of 8 steps runs the recurrence from a
+    zero state; the block ends, carried by this same function one level
     up, then enter each later block by one more product.
     """
-    block, entry = params._carry_operators(two_sided, level)
+    block, entry = params._carry_operators(level)
     rows, m, s = states.shape
     blocks = -(-m // _CARRY_BLOCK)
     if blocks * _CARRY_BLOCK != m:
@@ -261,7 +274,7 @@ def _carry_states(
     out = states.reshape(rows, blocks, _CARRY_BLOCK * s) @ block
     if blocks > 1:
         ends = np.ascontiguousarray(out[:, :-1, -s:])
-        out[:, 1:] += _carry_states(ends, params, two_sided, level + 1) @ entry
+        out[:, 1:] += _carry_states(ends, params, level + 1) @ entry
     return out.reshape(rows, blocks * _CARRY_BLOCK, s)[:, :m]
 
 
@@ -270,9 +283,9 @@ def _scan_last_axis(data: np.ndarray, params: SsmParams, two_sided: bool = False
 
     With ``two_sided``, the recurrence also runs from the end and the two
     are summed: the result equals scan(x) + scan(x[::-1])[::-1] to
-    rounding, from one symmetric product per chunk. Each sequence is one
-    3-D product over (rows, chunks, CHUNK), so a sequence's result does
-    not depend on how many others share the call.
+    rounding, from one symmetric product per chunk and one causal carry.
+    Each sequence is one 3-D product over (rows, chunks, CHUNK), so a
+    sequence's result does not depend on how many others share the call.
     """
     *lead, length = data.shape
     if data.size == 0:
@@ -285,19 +298,19 @@ def _scan_last_axis(data: np.ndarray, params: SsmParams, two_sided: bool = False
         padded[..., :length] = data
         data = padded
     out = data.reshape(-1, chunks, CHUNK) @ step  # (rows, chunks, CHUNK + N, or + 2N)
+    rows = out.shape[0]
     # The states entering each chunk from the chunk before it (and, two-sided, after it).
-    entering = np.zeros((out.shape[0], chunks, carry.shape[0]))
+    entering = np.zeros((rows, chunks, carry.shape[0]))
     if chunks > 1:
-        # Forward end states, then backward start states in reverse chunk
-        # order; zero end padding adds nothing to a state carried backward.
-        states = np.empty((out.shape[0], chunks - 1, carry.shape[0]))
-        states[..., :n] = out[:, :-1, CHUNK : CHUNK + n]
+        # Forward end states, then backward start states in reverse chunk order
+        # as more rows; zero end padding adds nothing to a state carried backward.
+        states = out[:, :-1, CHUNK : CHUNK + n]
         if two_sided:
-            states[..., n:] = out[:, :0:-1, CHUNK + n :]
-        carried = _carry_states(states, params, two_sided)
-        entering[:, 1:, :n] = carried[..., :n]
+            states = np.concatenate([states, out[:, :0:-1, CHUNK + n :]])
+        carried = _carry_states(states, params)
+        entering[:, 1:, :n] = carried[:rows]
         if two_sided:
-            entering[:, :-1, n:] = carried[:, ::-1, n:]
+            entering[:, :-1, n:] = carried[rows:, ::-1]
     y = entering @ carry
     y += out[..., :CHUNK]
     return y.reshape(*lead, chunks * CHUNK)[..., :length]

@@ -82,19 +82,16 @@ def count_holes(mask: np.ndarray) -> int:
     """Number of interior holes.
 
     A hole is a 4-connected background component with no pixel on the
-    image border; 4-connectivity is ndimage's default structure.
+    image border; 4-connectivity is ndimage's default structure. The
+    background is labelled inside a one-pixel background frame, which
+    joins every component that touches the border into one, so the
+    holes are all labels but that one.
     """
     from scipy import ndimage
 
     mask = _require_mask(mask).astype(bool)
-    labels, count = ndimage.label(~mask)
-    if count == 0:
-        return 0
-    border = np.concatenate(
-        [labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]
-    )
-    touching = np.unique(border[border > 0])
-    return int(count - touching.size)
+    _, count = ndimage.label(np.pad(~mask, 1, constant_values=True))
+    return int(count - 1)
 
 
 def topo_summary(mask: np.ndarray) -> TopoSummary:

@@ -136,6 +136,33 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             SsmParams(**kwargs)
 
+    def test_overflowing_causal_operators_rejected(self):
+        # Finite coefficients whose product c * b_bar overflows.
+        params = SsmParams(a=[-1.0], b=[1e200], c=[1e200], d=0.0, delta=0.1)
+        message = "^a, b, c and d give non-finite causal scan operators$"
+        with pytest.raises(ValueError, match=message):
+            scan_sequence(np.ones(3), params)
+
+    def test_overflowing_two_sided_operators_rejected(self):
+        # The causal kernel is finite, but its diagonal doubles past the
+        # float range in kernel + kernel.T.
+        params = SsmParams(a=[-1.0], b=[1.0], c=[1.0], d=1e308, delta=0.1)
+        assert np.array_equal(scan_sequence(np.ones(3), params), np.full(3, 1e308))
+        shape = GridShape(3, 3)
+        fm = FeatureMap(np.ones((1, 1, shape.length)), shape)
+        message = "^a, b, c and d give non-finite two-sided scan operators$"
+        with pytest.raises(ValueError, match=message):
+            multi_direction_scan(fm, build_topoa_indices(shape), params)
+
+    def test_overflowing_decay_exponent_scans_without_warning(self):
+        # delta * a overflows to -inf, so a_bar = 0 and every operator is
+        # finite: the scan is d x + c b_bar x with b_bar = 1e-200.
+        params = SsmParams(a=[-1e200], b=[1.0], c=[1.0], d=0.5, delta=1e200)
+        x = np.random.default_rng(73).standard_normal(3 * CHUNK)
+        assert np.array_equal(scan_sequence(x, params), x * 1e-200 + 0.5 * x)
+        y = _scan_last_axis(x, params, two_sided=True)
+        assert np.array_equal(y, x * 2e-200 + x)
+
     def test_params_copy_the_callers_arrays(self):
         # An alias made before construction writes to the caller's array
         # afterwards; neither the parameters nor their cached operators see it.
@@ -336,12 +363,20 @@ class TestChunkStateCarry:
 
     def test_carry_operators_are_cached_and_read_only(self):
         params = random_params(np.random.default_rng(59), 3)
-        for two_sided in (False, True):
-            for level in range(3):
-                operators = params._carry_operators(two_sided, level)
-                assert params._carry_operators(two_sided, level) is operators
-                for arr in operators:
-                    assert not arr.flags.writeable
+        for level in range(3):
+            operators = params._carry_operators(level)
+            assert params._carry_operators(level) is operators
+            for arr in operators:
+                assert not arr.flags.writeable
+
+    def test_one_and_two_sided_scans_share_one_carry_per_level(self):
+        # 74 chunks reach carry level 2; the two-sided scan carries its
+        # backward states as more rows of the same causal carry.
+        params = random_params(np.random.default_rng(61), 3)
+        x = np.random.default_rng(67).standard_normal(74 * CHUNK)
+        scan_sequence(x, params)
+        _scan_last_axis(x, params, two_sided=True)
+        assert set(params._carry_store) == {0, 1, 2}
 
 
 def test_importing_the_package_leaves_scipy_signal_unloaded():

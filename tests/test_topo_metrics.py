@@ -248,6 +248,31 @@ class TestProperties:
         assert count_components(mask) == flood_components_oracle(mask)
         assert count_holes(mask) == flood_holes_oracle(mask)
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, w) for w in range(1, 11)]
+        + [(h, 1) for h in range(2, 11)]
+        + [(2, w) for w in range(2, 7)],
+    )
+    def test_matches_flood_fill_oracles_on_every_thin_mask(self, shape):
+        size = shape[0] * shape[1]
+        for bits in range(2**size):
+            mask = np.array([(bits >> k) & 1 for k in range(size)], dtype=bool).reshape(shape)
+            assert count_components(mask) == flood_components_oracle(mask), mask
+            assert count_holes(mask) == flood_holes_oracle(mask), mask
+
+    def test_matches_flood_fill_oracles_on_random_non_square_masks(self):
+        rng = np.random.default_rng(71)
+        checked = 0
+        while checked < 300:
+            h, w = rng.integers(1, 13, size=2)
+            if h == w:
+                continue
+            checked += 1
+            mask = rng.random((h, w)) < rng.choice([0.2, 0.5, 0.8])
+            assert count_components(mask) == flood_components_oracle(mask), mask
+            assert count_holes(mask) == flood_holes_oracle(mask), mask
+
     @given(st.integers(min_value=0, max_value=2**16 - 1))
     @settings(max_examples=80, deadline=None)
     def test_translation_invariance(self, bits):

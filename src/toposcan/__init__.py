@@ -31,7 +31,6 @@ from .ssm import (
     default_params,
     discretize,
     multi_direction_scan,
-    passthrough_params,
     scan_sequence,
 )
 from .topo_metrics import (
@@ -77,7 +76,6 @@ __all__ = [
     "gate_weight",
     "make_scenario",
     "multi_direction_scan",
-    "passthrough_params",
     "projection_matrix",
     "run_cache_stress",
     "run_scenario",

@@ -16,7 +16,7 @@ branch regardless of the measured dependence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 # Eager: NumPy imports numpy.random lazily, and the first sketch draw
@@ -107,7 +107,7 @@ class GateDiagnostics:
     w: float
 
     def as_dict(self) -> dict:
-        return {"hsic": self.hsic, "sigma_sq": self.sigma_sq, "w": self.w}
+        return asdict(self)
 
 
 def effective_projection_width(d_proj: int, length: int) -> int:
@@ -169,11 +169,12 @@ def _unit_rows(signed: np.ndarray, columns: np.ndarray, width: int, k: int) -> n
     (``projection_matrix(L, width, seed)``), computed as one weighted
     ``np.bincount`` that adds 2^-k sign * f to its column, then scaled to
     unit L2 norm. The 2^-k is exact and keeps a column's sum of up to L
-    finite features finite. Rows whose norm, 2^k times the scaled one, is
-    below ``ZERO_ROW_EPS`` stay zeros instead of being divided. The norm is
-    taken of each row divided by a power of two near its largest magnitude
-    (``frexp``/``ldexp``), which is exact, so squaring cannot overflow
-    however large the features are.
+    finite features finite. The norm is taken of each row divided by a
+    power of two near its largest magnitude (``frexp``/``ldexp``), which is
+    exact, so squaring cannot overflow however large the features are.
+    One rule serves every row: a row whose norm, 2^k times the scaled one,
+    is below ``ZERO_ROW_EPS`` is zeros, and every other row is divided by
+    its norm.
     """
     *lead, length = signed.shape
     rows = math.prod(lead)
@@ -184,8 +185,6 @@ def _unit_rows(signed: np.ndarray, columns: np.ndarray, width: int, k: int) -> n
     scaled = np.ldexp(projected, -exponent)
     scaled_norms = np.sqrt(np.add.reduce(scaled * scaled, axis=-1, keepdims=True))
     zero = np.ldexp(scaled_norms, exponent) < math.ldexp(ZERO_ROW_EPS, -k)
-    if not zero.any():
-        return scaled / scaled_norms
     return np.where(zero, 0.0, scaled / np.where(zero, 1.0, scaled_norms))
 
 
@@ -205,20 +204,18 @@ def _rbf(sq_dists: np.ndarray, sigma_sq: float | np.ndarray) -> np.ndarray:
     return np.exp(-sq_dists / (2.0 * np.asarray(sigma_sq)[..., None, None]))
 
 
-# The median of the pooled upper-triangle entries of two (..., n, n) distance
-# stacks. Each stack is symmetric, its diagonal is exactly 0 and no entry is
-# negative, so the sorted whole matrices are the diagonal zeros, then every
-# upper entry twice: ranks k - 1 and k, k = diagonal + upper entries, are the
-# middle pair of the upper entries, or their one middle entry twice.
-def _bandwidth(dc: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    diagonal = dc.shape[-1] + dt.shape[-1]
-    pooled = np.concatenate([d.reshape(*d.shape[:-2], -1) for d in (dc, dt)], -1)
-    k = (pooled.shape[-1] + diagonal) // 2
+# The median of the pooled upper-triangle entries of a (2, ..., C, C) distance
+# stack. Both matrices are symmetric, their diagonals are exactly 0 and no
+# entry is negative, so the sorted pool of both is 2C zeros, then every upper
+# entry twice. The C(C - 1) upper entries are an even count, so their median
+# is the mean of pool ranks k - 1 and k, k = C(C + 1). The pool is a fresh
+# array because ``partition`` sorts it in place and the kernels read ``dists``.
+def _bandwidth(dists: np.ndarray) -> np.ndarray:
+    c = dists.shape[-1]
+    k = c * (c + 1)
+    pooled = np.concatenate((dists[0], dists[1]), -1).reshape(*dists.shape[1:-2], -1)
     pooled.partition((k - 1, k), axis=-1)
-    middle = pooled[..., k - 1 : k + 1]
-    if (k - diagonal) % 2:  # an odd count: the middle entry alone, as np.median takes it
-        middle = middle[..., 1:]
-    return np.maximum(np.add.reduce(middle, axis=-1) / middle.shape[-1], BANDWIDTH_FLOOR)
+    return np.maximum((pooled[..., k - 1] + pooled[..., k]) / 2, BANDWIDTH_FLOOR)
 
 
 # Scores of a (2, ..., n, n) stack of kernels: the Frobenius inner product of
@@ -282,7 +279,7 @@ def fuse_with_diagnostics(
     np.multiply(pair.f_cross, signs, out=signed[0])
     np.multiply(pair.f_topoa, signs, out=signed[1])
     dists = _sq_dists(_unit_rows(signed, columns, width, k))
-    sigma_sq = _bandwidth(dists[0], dists[1])
+    sigma_sq = _bandwidth(dists)
     scores = _hsic(_rbf(dists, sigma_sq))
     items = zip(scores.tolist(), sigma_sq.tolist())
     diagnostics = [GateDiagnostics(h, s, gate_weight(h, cfg)) for h, s in items]

@@ -15,7 +15,7 @@ import time
 from collections import OrderedDict
 from collections.abc import Callable
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .scan_order import GridShape, IndexPair, _require_instance, _require_int, build_topoa_indices
 
@@ -72,15 +72,7 @@ class CacheStats:
         return self.hits / max(self.requests, 1)
 
     def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-            "build_time_total": self.build_time_total,
-            "lookup_time_total": self.lookup_time_total,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
 class ScanCache:

@@ -39,7 +39,8 @@ product adds both to each chunk.
 
 Each operator family is checked where it is first built: coefficients
 whose operators overflow fail with ``ValueError`` instead of scanning
-to inf.
+to inf. A finite input whose scan overflows fails with a ``ValueError``
+that names ``x``.
 """
 
 from __future__ import annotations
@@ -55,13 +56,13 @@ CHUNK = 64
 """Steps per chunk of the chunked scan."""
 
 _CARRY_BLOCK = 8  # chunk states carried per product, at every level
+_OVERFLOW = "x overflows the scan under these params"
 
 __all__ = [
     "CHUNK",
     "SsmParams",
     "FeatureMap",
     "default_params",
-    "passthrough_params",
     "discretize",
     "scan_sequence",
     "multi_direction_scan",
@@ -204,17 +205,6 @@ def default_params() -> SsmParams:
     )
 
 
-def passthrough_params() -> SsmParams:
-    """Pass-through configuration (c = 0, d = 1): the scan returns its input bit-exactly."""
-    return SsmParams(
-        a=np.array([-1.0, -2.0, -3.0, -4.0]),
-        b=np.ones(4),
-        c=np.zeros(4),
-        d=1.0,
-        delta=0.1,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Batch of multi-channel feature maps flattened row-major.
@@ -250,10 +240,12 @@ def discretize(params: SsmParams) -> tuple[np.ndarray, np.ndarray]:
     Returns:
         (a_bar, b_bar) with a_bar = exp(delta * a) and
         b_bar = (exp(delta * a) - 1) / a * b. The formula is singular at
-        a = 0, which :class:`SsmParams` already excludes.
+        a = 0, which :class:`SsmParams` already excludes. A ``delta * a``
+        beyond the float range is -inf, so a_bar = 0 exactly.
     """
     _require_instance("params", params, SsmParams)
-    a_bar = np.exp(params.delta * params.a)
+    with np.errstate(over="ignore"):
+        a_bar = np.exp(params.delta * params.a)
     b_bar = (a_bar - 1.0) / params.a * params.b
     return a_bar, b_bar
 
@@ -320,11 +312,16 @@ def scan_sequence(x: np.ndarray, params: SsmParams) -> np.ndarray:
     """Apply the discretized recurrence to a 1-D sequence (zero initial state).
 
     Raises:
-        ValueError: for non-1-D or non-finite input, or ``params`` that is
-            not an :class:`SsmParams`.
+        ValueError: for non-1-D or non-finite input, ``params`` that is
+            not an :class:`SsmParams`, or an ``x`` whose scan overflows.
     """
     _require_instance("params", params, SsmParams)
-    return _scan_last_axis(_require_float_array("x", x, 1), params)
+    x = _require_float_array("x", x, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _scan_last_axis(x, params)
+    if not np.isfinite(y).all():
+        raise ValueError(_OVERFLOW)
+    return y
 
 
 def multi_direction_scan(
@@ -349,8 +346,9 @@ def multi_direction_scan(
     to row 1 transposed back, bitwise the same sum.
 
     Raises:
-        ValueError: if an argument is not of its annotated type, or
-            ``indices.shape`` does not match the feature map.
+        ValueError: if an argument is not of its annotated type,
+            ``indices.shape`` does not match the feature map, or the scan
+            of ``x`` overflows.
     """
     _require_instance("x", x, FeatureMap)
     _require_instance("indices", indices, IndexPair)
@@ -359,20 +357,25 @@ def multi_direction_scan(
         raise ValueError(
             f"index shape {indices.shape} does not match feature map shape {x.shape}"
         )
-    if indices.axis_aligned:
-        batch, channels, length = x.data.shape
-        h, w = x.shape.height, x.shape.width
-        g = np.empty((batch, channels, 2, length))
-        g[..., 0, :] = x.data
-        g.reshape(batch, channels, 2, w, h)[..., 1, :, :] = x.data.reshape(
-            batch, channels, h, w
-        ).swapaxes(-1, -2)
-        both = _scan_last_axis(g, params, two_sided=True)
-        columns = both[..., 1, :].reshape(batch, channels, w, h).swapaxes(-1, -2)
-        merged = both[..., 0, :].reshape(batch, channels, h, w) + columns
-        return FeatureMap(data=merged.reshape(batch, channels, length), shape=x.shape)
-    g = np.take(x.data, indices.base, axis=-1)  # (B, C, 2, L)
-    both = _scan_last_axis(g, params, two_sided=True)
-    merged = np.take(both[..., 0, :], indices.rank[0], axis=-1)
-    merged += np.take(both[..., 1, :], indices.rank[1], axis=-1)
-    return FeatureMap(data=merged, shape=x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if indices.axis_aligned:
+            batch, channels, length = x.data.shape
+            h, w = x.shape.height, x.shape.width
+            g = np.empty((batch, channels, 2, length))
+            g[..., 0, :] = x.data
+            g.reshape(batch, channels, 2, w, h)[..., 1, :, :] = x.data.reshape(
+                batch, channels, h, w
+            ).swapaxes(-1, -2)
+            both = _scan_last_axis(g, params, two_sided=True)
+            columns = both[..., 1, :].reshape(batch, channels, w, h).swapaxes(-1, -2)
+            merged = both[..., 0, :].reshape(batch, channels, h, w) + columns
+            merged = merged.reshape(batch, channels, length)
+        else:
+            g = np.take(x.data, indices.base, axis=-1)  # (B, C, 2, L)
+            both = _scan_last_axis(g, params, two_sided=True)
+            merged = np.take(both[..., 0, :], indices.rank[0], axis=-1)
+            merged += np.take(both[..., 1, :], indices.rank[1], axis=-1)
+    try:
+        return FeatureMap(data=merged, shape=x.shape)
+    except ValueError:  # shape and dtype are right by construction, so it is inf or NaN
+        raise ValueError(_OVERFLOW) from None

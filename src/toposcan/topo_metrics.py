@@ -11,7 +11,7 @@ than with the package, so a process that never counts loads no SciPy.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class AggregateReport:
     n: int
 
     def as_dict(self) -> dict:
-        return {"cce": self.cce, "hce": self.hce, "etm_pct": self.etm_pct, "n": self.n}
+        return asdict(self)
 
 
 def count_components(mask: np.ndarray) -> int:

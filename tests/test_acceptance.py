@@ -32,7 +32,6 @@ from toposcan.ssm import (
     SsmParams,
     discretize,
     multi_direction_scan,
-    passthrough_params,
     scan_sequence,
 )
 from toposcan.topo_metrics import count_components, count_holes, topo_errors
@@ -207,8 +206,12 @@ def test_criterion_7_ssm_oracle():
 
     shape = GridShape(9, 7)
     fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
+    # c = 0 and d = 1: each of the four directions returns its input bit-exactly.
+    passthrough = SsmParams(
+        a=[-1.0, -2.0, -3.0, -4.0], b=np.ones(4), c=np.zeros(4), d=1.0, delta=0.1
+    )
     for indices in (build_topoa_indices(shape), build_cross_indices(shape)):
-        out = multi_direction_scan(fm, indices, passthrough_params())
+        out = multi_direction_scan(fm, indices, passthrough)
         assert np.array_equal(out.data, 4.0 * fm.data)
     report_pass(7, "recurrence vs unrolled kernel (200 cases) and bit-exact identity mode")
 

@@ -12,9 +12,11 @@ import pytest
 import toposcan
 from toposcan import (
     BranchPair,
+    CacheKey,
     FeatureMap,
     GateConfig,
     GridShape,
+    IndexPair,
     ScanCache,
     Scenario,
     SsmParams,
@@ -23,14 +25,20 @@ from toposcan import (
     analytic_hit_rate,
     build_cross_indices,
     build_topoa_indices,
+    count_components,
+    count_holes,
     default_params,
     discretize,
     emit_report,
     fuse_with_diagnostics,
     gate_weight,
+    make_scenario,
     multi_direction_scan,
+    projection_matrix,
+    run_cache_stress,
     run_scenario,
     scan_sequence,
+    topo_errors,
 )
 from toposcan.bench import check_requests
 from toposcan.hsic_gate import effective_projection_width
@@ -116,6 +124,17 @@ WRONG_TYPED_CALLS = {
     "gate_weight-hsic-beyond-float": lambda: gate_weight(10**400, GateConfig()),
     "BranchPair.from_feature_maps-cross-None": lambda: BranchPair.from_feature_maps(None, FM),
     "TopoErrors-cce-str": lambda: aggregate([TopoErrors("a", 0, 0)]),
+    "CacheKey-height-str": lambda: CacheKey("a", 2),
+    "GridShape-height-float": lambda: GridShape(2.5, 3),
+    "IndexPair-base-list": lambda: IndexPair([[0, 1], [1, 0]], GridShape(1, 2)),
+    "Scenario-sample_count-str": lambda: Scenario("fixed", sample_count="a"),
+    "StageModel-strides-None": lambda: StageModel(strides=None),
+    "count_components-mask-None": lambda: count_components(None),
+    "count_holes-mask-str": lambda: count_holes("a"),
+    "topo_errors-pred-None": lambda: topo_errors(None, np.ones((2, 2))),
+    "make_scenario-name-int": lambda: make_scenario(3),
+    "projection_matrix-length-str": lambda: projection_matrix("a", 8),
+    "run_cache_stress-threads-str": lambda: run_cache_stress(threads="a"),
 }
 
 
@@ -166,3 +185,31 @@ def test_float_arrays_must_be_finite(call, value):
     arr = np.array([1, value], dtype=np.asarray(value).dtype)
     with pytest.raises(ValueError, match="must be finite$"):
         call(arr)
+
+
+# Public callables with no wrong-typed row, each with its reason.
+NO_WRONG_TYPED_ROW = {
+    "AggregateReport": "a record type the library fills",
+    "BenchReport": "a record type the library fills",
+    "CacheStats": "a record type the library fills",
+    "GateDiagnostics": "a record type the library fills",
+    "ManifestItem": "a record type the library fills",
+    "TopoSummary": "a record type the library fills",
+    "build_parser": "tests/test_cli.py covers the command line",
+    "main": "tests/test_cli.py covers the command line",
+    "default_params": "takes no argument",
+}
+
+
+def test_every_public_callable_has_a_wrong_typed_row_or_a_reason():
+    public = set()
+    for module_name in ["toposcan", *MODULES]:
+        module = importlib.import_module(module_name)
+        exported = getattr(module, "__all__", [])
+        public.update(name for name in exported if callable(getattr(module, name)))
+    # A row's key starts with the callable it calls: "name-arg-kind" or "name.method-...".
+    rows = [*WRONG_TYPED_CALLS, *REAL_SETTINGS, *FLOAT_ARRAYS]
+    covered = {key.split("-")[0].split(".")[0] for key in rows}
+    assert not sorted(public - covered - set(NO_WRONG_TYPED_ROW))
+    assert not sorted(set(NO_WRONG_TYPED_ROW) - public), "an exempt name is not public"
+    assert not sorted(set(NO_WRONG_TYPED_ROW) & covered), "an exempt name has a row"

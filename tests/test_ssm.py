@@ -18,8 +18,13 @@ from toposcan.ssm import (
     default_params,
     discretize,
     multi_direction_scan,
-    passthrough_params,
     scan_sequence,
+)
+
+
+# c = 0 and d = 1: the scan returns its input bit-exactly.
+PASSTHROUGH = SsmParams(
+    a=[-1.0, -2.0, -3.0, -4.0], b=np.ones(4), c=np.zeros(4), d=1.0, delta=0.1
 )
 
 
@@ -162,6 +167,24 @@ class TestDiscretize:
         assert np.array_equal(scan_sequence(x, params), x * 1e-200 + 0.5 * x)
         y = _scan_last_axis(x, params, two_sided=True)
         assert np.array_equal(y, x * 2e-200 + x)
+
+    def test_discretize_overflowing_exponent_is_exact_without_warning(self):
+        # delta * a is -inf in float64, so a_bar = 0 and b_bar = -1 / a * b.
+        params = SsmParams(a=[-1e200], b=[1.0], c=[1.0], d=0.5, delta=1e200)
+        a_bar, b_bar = discretize(params)
+        assert (a_bar.tolist(), b_bar.tolist()) == ([0.0], [1e-200])
+
+    @pytest.mark.parametrize("build", [build_topoa_indices, build_cross_indices])
+    def test_overflowing_feature_map_scan_names_x(self, build):
+        # Finite operators and a finite map whose scan passes the float range.
+        shape = GridShape(3, 3)
+        fm = FeatureMap(np.full((1, 1, shape.length), 1e308), shape)
+        with pytest.raises(ValueError, match="^x overflows the scan under these params$"):
+            multi_direction_scan(fm, build(shape), default_params())
+
+    def test_overflowing_sequence_scan_names_x(self):
+        with pytest.raises(ValueError, match="^x overflows the scan under these params$"):
+            scan_sequence(np.full(200, 1e308), default_params())
 
     def test_params_copy_the_callers_arrays(self):
         # An alias made before construction writes to the caller's array
@@ -397,7 +420,7 @@ class TestMultiDirectionScan:
         shape = GridShape(6, 7)
         fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
         for indices in (build_topoa_indices(shape), build_cross_indices(shape)):
-            out = multi_direction_scan(fm, indices, passthrough_params())
+            out = multi_direction_scan(fm, indices, PASSTHROUGH)
             assert np.array_equal(out.data, 4.0 * fm.data)
 
     def test_single_pixel_grid(self):
@@ -502,7 +525,7 @@ class TestMultiDirectionScan:
         shape = GridShape(9, 15)
         fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
         for indices in (build_topoa_indices(shape), build_cross_indices(shape)):
-            out = multi_direction_scan(fm, indices, passthrough_params())
+            out = multi_direction_scan(fm, indices, PASSTHROUGH)
             assert np.array_equal(out.data, 4.0 * fm.data)
 
     @pytest.mark.parametrize("build", [build_topoa_indices, build_cross_indices])

@@ -5,16 +5,16 @@ row-major (cell (i, j) gets index i*W + j):
 
 * the diagonal family: alternating main-diagonal and anti-diagonal
   traversals whose consecutive steps always land on 4- or 8-neighbors,
-  so adjacent step distances stay within {1, sqrt(2)}. Each cell's rank in
-  the diagonal order is written in closed form, not sorted, and the
-  anti-diagonal order is its column mirror;
+  so adjacent step distances stay within {1, sqrt(2)}. The diagonal order
+  is written directly in closed form, not sorted or ranked and scattered,
+  and the anti-diagonal order is its column mirror;
 * the axis-aligned family: row-major, column-major, and their reversals,
   the classic four-direction serialization of visual state-space models.
 
-Each family is stored as its two base orders and, unless axis-aligned,
-their inverses, in an ``IndexPair`` that ``build_topoa_indices`` or
-``build_cross_indices`` returns; the 4-by-L matrices of the four
-directions (base orders, then reversals) and their inverses are derived.
+Each family is stored as its two base orders and, unless axis-aligned
+(``rank is None``), their inverses, in the ``IndexPair`` its builder
+returns; the 4-by-L matrices of the four directions (base orders, then
+reversals) and their inverses are derived.
 """
 
 from __future__ import annotations
@@ -132,11 +132,10 @@ class IndexPair:
     row- and column-major order (axis-aligned family), must permute
     0 .. L-1, and are stored as a read-only int64 (2, L) copy of the
     array passed in, so no later write to that array changes the pair.
-    ``axis_aligned`` tells whether the rows are row-major then
-    column-major order. Every other pair also keeps ``rank``, the
-    read-only int64 (2, L) inverse of ``base``: each cell's position in
-    each order; an axis-aligned pair keeps None. Equality is identity, so
-    pairs are hashable.
+    ``rank`` is None exactly when the rows are row-major then column-major
+    order (axis-aligned); every other pair keeps in it the read-only int64
+    (2, L) inverse of ``base``: each cell's position in each order.
+    Equality is identity, so pairs are hashable.
 
     ``forward`` and ``inverse`` derive the (4, L) matrices of the four
     directions on each call; rows 2 and 3 reverse rows 0 and 1.
@@ -144,19 +143,17 @@ class IndexPair:
 
     base: np.ndarray
     shape: GridShape
-    axis_aligned: bool = field(init=False)
     rank: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _require_instance("shape", self.shape, GridShape)
         base = self.base.copy() if isinstance(self.base, np.ndarray) else self.base
         rank = _inverse_rows(base, self.shape.length)
-        axis_aligned = bool(np.array_equal(base, _axis_aligned_base(self.shape)))
         for arr in (base, rank):
             arr.setflags(write=False)
+        aligned = np.array_equal(base, _cross_base(self.shape))
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "axis_aligned", axis_aligned)
-        object.__setattr__(self, "rank", None if axis_aligned else rank)
+        object.__setattr__(self, "rank", None if aligned else rank)
 
     @property
     def forward(self) -> np.ndarray:
@@ -181,26 +178,28 @@ def build_topoa_indices(shape: GridShape) -> IndexPair:
     segments s = i + j for s = 0 .. H+W-2; segment s spans rows
     lo = max(s-W+1, 0) .. hi = min(s, H-1) and is traversed top-to-bottom
     on even s, bottom-to-top on odd s, which joins consecutive segments at
-    4-neighbors. No sort: each cell's rank is the cell count of the earlier
-    segments plus i - lo (even) or hi - i (odd). The anti-diagonal order
-    groups cells by i - j: it is the diagonal order of the column-reflected
-    grid, each index i*W + j of the diagonal moved to i*W + (W-1-j). The
-    derived reversals flip the completed length-L sequences, not the
-    individual segments.
+    4-neighbors. No sort and no scatter: segment s holds hi - lo + 1 cells,
+    its k-th in row i = lo + k (even s) or hi - k (odd s), so the order is
+    written as the cells i*(W-1) + s. The anti-diagonal order groups
+    cells by i - j: it is the diagonal order of the column-reflected grid,
+    the cells i*(W+1) + (W-1) - s. The derived reversals flip the completed
+    length-L sequences, not the individual segments.
     """
     _require_instance("shape", shape, GridShape)
     h, w = shape.height, shape.width
-    i, j = np.divmod(np.arange(shape.length, dtype=np.int64), w)
-    s = i + j
-    counts = np.bincount(s)
-    place = np.where(s % 2 == 0, i - np.maximum(s - w + 1, 0), np.minimum(s, h - 1) - i)
-    diagonal = np.empty(shape.length, dtype=np.int64)
-    diagonal[(np.cumsum(counts) - counts)[s] + place] = np.arange(shape.length)
-    mirrored = diagonal + (w - 1) - 2 * (diagonal % w)
-    return IndexPair(np.stack([diagonal, mirrored]), shape)
+    positions = np.arange(shape.length, dtype=np.int64)  # first, so a too-big grid fails here
+    s = np.arange(h + w - 1, dtype=np.int64)
+    lo, hi = np.maximum(s - w + 1, 0), np.minimum(s, h - 1)
+    sizes = hi - lo + 1
+    step = 1 - 2 * (s & 1)  # down an even segment, up an odd one
+    # Position p of segment s lies in row (lo or hi) + step * (p - p0), p0 its first position.
+    i = np.repeat(np.where(step > 0, lo, hi) - step * (np.cumsum(sizes) - sizes), sizes)
+    i += np.repeat(step, sizes) * positions
+    s = np.repeat(s, sizes)
+    return IndexPair(np.stack([i * (w - 1) + s, i * (w + 1) + (w - 1) - s]), shape)
 
 
-def _axis_aligned_base(shape: GridShape) -> np.ndarray:
+def _cross_base(shape: GridShape) -> np.ndarray:
     """int64 (2, L) rows [row-major identity, column-major] of ``shape``."""
     row_major = np.arange(shape.length, dtype=np.int64)
     return np.stack([row_major, row_major.reshape(shape.height, shape.width).T.ravel()])
@@ -214,4 +213,4 @@ def build_cross_indices(shape: GridShape) -> IndexPair:
     i*W + j.
     """
     _require_instance("shape", shape, GridShape)
-    return IndexPair(_axis_aligned_base(shape), shape)
+    return IndexPair(_cross_base(shape), shape)

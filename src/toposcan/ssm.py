@@ -340,7 +340,7 @@ def multi_direction_scan(
     (``indices.rank``), and the restored maps sum in the order
     (r0 + r2) + (r1 + r3): bitwise the scatter through ``base``.
 
-    An axis-aligned pair (``indices.axis_aligned``) moves no index: its
+    An axis-aligned pair (``indices.rank is None``) moves no index: its
     base rows are the raster itself and its transpose, so the gather
     copies the map and its (W, H) transpose, and the restore adds row 0
     to row 1 transposed back, bitwise the same sum.
@@ -358,7 +358,7 @@ def multi_direction_scan(
             f"index shape {indices.shape} does not match feature map shape {x.shape}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        if indices.axis_aligned:
+        if indices.rank is None:
             batch, channels, length = x.data.shape
             h, w = x.shape.height, x.shape.width
             g = np.empty((batch, channels, 2, length))

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +49,12 @@ def diagonal(shape):
 def antidiagonal(shape):
     """The anti-diagonal order: the second base row of the diagonal family."""
     return build_topoa_indices(shape).base[1]
+
+
+def axis_aligned_reference(shape):
+    """Rows [row-major, column-major]: the one base an IndexPair keeps no rank for."""
+    row_major = np.arange(shape.length, dtype=np.int64)
+    return np.stack([row_major, row_major.reshape(shape.height, shape.width).T.ravel()])
 
 
 def step_distances(order, shape):
@@ -201,7 +210,7 @@ class TestDerivedLayout:
         shape = GridShape(5, 7)
         pair = build(shape)
         aligned = build is build_cross_indices
-        assert pair.axis_aligned is aligned
+        assert (pair.rank is None) is aligned
         stored = {k: v for k, v in vars(pair).items() if isinstance(v, np.ndarray)}
         assert set(stored) == ({"base"} if aligned else {"base", "rank"})
         for arr in stored.values():
@@ -224,7 +233,8 @@ class TestDerivedLayout:
                 permuted = np.stack([rng.permutation(shape.length) for _ in range(2)])
                 for base in (topoa.base, topoa.base[::-1], cross.base, cross.base[::-1], permuted):
                     pair = IndexPair(base, shape)
-                    assert (pair.rank is None) == pair.axis_aligned, (h, w)
+                    aligned = np.array_equal(base, axis_aligned_reference(shape))
+                    assert (pair.rank is None) == aligned, (h, w)
                     if pair.rank is not None:
                         assert np.array_equal(pair.rank, four_row_reference(pair)[1][:2]), (h, w)
 
@@ -300,10 +310,9 @@ class TestDerivedLayout:
 class TestAxisAligned:
     def test_hand_built_row_and_column_major_pair_is_axis_aligned(self):
         for h, w in [(1, 1), (2, 3), (3, 2), (9, 15), (1, 7), (7, 1)]:
-            row_major = np.arange(h * w, dtype=np.int64)
-            col_major = row_major.reshape(h, w).T.ravel()
-            assert IndexPair(np.stack([row_major, col_major]), GridShape(h, w)).axis_aligned
-            assert build_cross_indices(GridShape(h, w)).axis_aligned
+            shape = GridShape(h, w)
+            assert IndexPair(axis_aligned_reference(shape), shape).rank is None
+            assert build_cross_indices(shape).rank is None
 
     def test_swapped_rows_and_topoa_pairs_are_not(self):
         # On an N x 1 grid both families' orders are the raster, so topoa is axis aligned there.
@@ -313,20 +322,26 @@ class TestAxisAligned:
                 cross = build_cross_indices(shape)
                 swapped = IndexPair(cross.base[::-1].copy(), shape)
                 topoa = build_topoa_indices(shape)
-                assert swapped.axis_aligned == (h == 1 or w == 1), (h, w)
-                assert topoa.axis_aligned == (w == 1), (h, w)
+                assert (swapped.rank is None) == (h == 1 or w == 1), (h, w)
+                assert (topoa.rank is None) == (w == 1), (h, w)
                 for pair in (swapped, topoa):
                     forward, inverse = four_row_reference(pair)
                     assert np.array_equal(pair.forward, forward), (h, w)
                     assert np.array_equal(pair.inverse, inverse), (h, w)
 
     def test_flag_is_computed_once_and_cannot_be_set(self):
-        # Set at construction as a plain field, before any read.
+        # rank, None for an axis-aligned pair, is set at construction as a
+        # plain field, before any read, and cannot be reassigned.
+        assert [f.name for f in dataclasses.fields(IndexPair)] == ["base", "shape", "rank"]
         for pair, aligned in ((build_cross_indices(GridShape(4, 5)), True),
                               (build_topoa_indices(GridShape(4, 5)), False)):
-            assert vars(pair)["axis_aligned"] is aligned
+            assert "rank" in vars(pair)
+            assert (vars(pair)["rank"] is None) is aligned
             with pytest.raises(dataclasses.FrozenInstanceError):
-                pair.axis_aligned = not aligned
+                pair.rank = None
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                pair.rank = pair.base
+            assert (pair.rank is None) is aligned
 
 
 class TestLocality:
@@ -389,3 +404,27 @@ class TestValidation:
     def test_rejects_bad_shapes(self, height, width):
         with pytest.raises(ValueError):
             GridShape(height, width)
+
+    def test_oversized_grid_raises_value_error_not_memory_error(self):
+        # L = 2**62 cells: the length-L array is asked for first and NumPy
+        # refuses it as too big. Allocating the 2**32 - 1 segment arrays
+        # first would take 32 GiB, so the call runs only in a child process
+        # whose address space is capped at 2 GiB.
+        pytest.importorskip("resource")
+        code = """
+import resource
+cap = 2 << 30
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    cap = min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from toposcan.scan_order import GridShape, build_topoa_indices
+try:
+    build_topoa_indices(GridShape(2**31, 2**31))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("ValueError array is too big"), done.stdout

@@ -552,7 +552,7 @@ class TestAxisAlignedPath:
         rng = np.random.default_rng(43)
         for shape in self.SHAPES:
             pair = build_cross_indices(shape)
-            assert pair.axis_aligned, shape
+            assert pair.rank is None, shape
             fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
             for params in (default_params(), random_params(rng, 3)):
                 out = multi_direction_scan(fm, pair, params)
@@ -567,7 +567,7 @@ class TestAxisAlignedPath:
             swapped = IndexPair(build_cross_indices(shape).base[::-1].copy(), shape)
             fm = FeatureMap(data=rng.standard_normal((3, 2, shape.length)), shape=shape)
             for pair in (swapped, build_topoa_indices(shape)):
-                assert not pair.axis_aligned, shape
+                assert pair.rank is not None, shape
                 out = multi_direction_scan(fm, pair, default_params())
                 ref = scatter_through_base_reference(fm, pair, default_params())
                 assert np.array_equal(out.data, ref), shape
@@ -584,7 +584,7 @@ class TestGatheredRestore:
         rng = np.random.default_rng(61)
         for shape in self.SHAPES:
             pair = build_topoa_indices(shape)
-            assert pair.axis_aligned == (shape.width == 1), shape
+            assert (pair.rank is None) == (shape.width == 1), shape
             fm = FeatureMap(data=rng.standard_normal((2, 3, shape.length)), shape=shape)
             for params in (default_params(), random_params(rng, 3)):
                 out = multi_direction_scan(fm, pair, params)

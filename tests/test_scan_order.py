@@ -219,9 +219,7 @@ class TestDerivedLayout:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
-        if aligned:
-            assert pair.rank is None
-        else:
+        if not aligned:
             assert np.array_equal(pair.rank, pair.inverse[:2])
 
     def test_rank_is_kept_unless_axis_aligned(self):
@@ -335,7 +333,6 @@ class TestAxisAligned:
         assert [f.name for f in dataclasses.fields(IndexPair)] == ["base", "shape", "rank"]
         for pair, aligned in ((build_cross_indices(GridShape(4, 5)), True),
                               (build_topoa_indices(GridShape(4, 5)), False)):
-            assert "rank" in vars(pair)
             assert (vars(pair)["rank"] is None) is aligned
             with pytest.raises(dataclasses.FrozenInstanceError):
                 pair.rank = None
